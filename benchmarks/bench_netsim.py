@@ -113,57 +113,19 @@ def _table1_slice(reuse: bool) -> float:
     return trials / elapsed
 
 
-def _table1_slice_batched() -> float:
-    """Trials/second over the same slice through the shared event heap."""
-    from repro.experiments import scenarios
-    from repro.experiments.runner import _run_http_batch_records, batch_window
-    from repro.experiments.vantage import CHINA_VANTAGE_POINTS
-    from repro.experiments.websites import outside_china_catalog
-
-    os.environ["REPRO_SCENARIO_REUSE"] = "1"
-    scenarios.clear_scenario_pool()
-    from repro.experiments.calibration import DEFAULT_CALIBRATION
-
-    vantages = CHINA_VANTAGE_POINTS[:4]
-    sites = outside_china_catalog(count=4)
-    strategies = ["none", "tcb-teardown-rst/ttl", "inorder-overlap/ttl"]
-    tasks = [
-        (vantage, site, strategy, DEFAULT_CALIBRATION, seed, True)
-        for strategy in strategies
-        for vantage in vantages
-        for site in sites
-        for seed in range(TRIAL_SEEDS)
-    ]
-    window = batch_window()
-    start = time.perf_counter()
-    for begin in range(0, len(tasks), window):
-        _run_http_batch_records(tasks[begin : begin + window])
-    elapsed = time.perf_counter() - start
-    scenarios.clear_scenario_pool()
-    os.environ.pop("REPRO_SCENARIO_REUSE", None)
-    return len(tasks) / elapsed
-
-
 def test_table1_slice_trial_rate():
     cold = _table1_slice(reuse=False)
     warm = _table1_slice(reuse=True)
-    batched = _table1_slice_batched()
     record_metric("trials_per_second_reuse_off", round(cold, 1))
     record_metric("trials_per_second_reuse_on", round(warm, 1))
-    record_metric("trials_per_second_batched", round(batched, 1))
     lines = [
         "Simulator core: Table-1 slice trials/second (serial)",
         f"  scenario reuse off   {cold:>10.1f}",
         f"  scenario reuse on    {warm:>10.1f}",
-        f"  batch-stepped heap   {batched:>10.1f}",
     ]
     report("netsim_trial_rate", "\n".join(lines))
     floor = TRIALS_PER_SECOND_FLOOR
     assert warm >= floor * 0.7, (
         f"trial rate regressed: {warm:.1f} trials/s < 70% of the "
         f"{floor:.0f} trials/s floor"
-    )
-    assert batched >= floor * 0.7, (
-        f"batched trial rate regressed: {batched:.1f} trials/s < 70% of "
-        f"the {floor:.0f} trials/s floor"
     )

@@ -126,19 +126,19 @@ def measure_replay_tier() -> None:
       sweep's steady state for repeated cells;
     - ``trials_per_second_replay_fresh`` — fresh seeds against the warm
       store: the honest mixed hit/fork/miss rate;
-    - ``trials_per_second_replay_off`` — ``REPRO_REPLAY=0``, the full
-      simulator on the same fresh-seed workload.
+    - ``trials_per_second_replay_off`` — ``REPRO_REPLAY=0`` (the default),
+      the full simulator on the same fresh-seed workload.
 
-    Best-of-3 per mode, like :func:`measure_trace_overhead` — single
-    ~0.1 s slices are noise-dominated on a loaded runner.
+    The tier is opt-in, so the warm and fresh arms switch it on with
+    ``REPRO_REPLAY=1``.  Best-of-3 per mode, like
+    :func:`measure_trace_overhead` — single ~0.1 s slices are
+    noise-dominated on a loaded runner.
     """
     import os
 
     from repro.experiments import replay
     from repro.telemetry.metrics import get_registry
 
-    if not replay.enabled():
-        return  # REPRO_REPLAY=0 runs have nothing honest to record here
     saved = {
         name: os.environ.get(name)
         for name in ("REPRO_RESULT_CACHE", "REPRO_REPLAY")
@@ -146,6 +146,7 @@ def measure_replay_tier() -> None:
     registry = get_registry()
     try:
         os.environ["REPRO_RESULT_CACHE"] = "0"
+        os.environ["REPRO_REPLAY"] = "1"
         replay.clear()
         _timed_slice(seed=9100)  # warm pass: records this cell's programs
         rate_warm = 0.0

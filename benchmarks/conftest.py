@@ -198,8 +198,7 @@ def pytest_sessionfinish(session, exitstatus):
             "platform": platform.platform(),
             "cpu_count": os.cpu_count(),
             "workers": workers,
-            "batch_trials": os.environ.get("REPRO_BATCH_TRIALS"),
-            "replay": os.environ.get("REPRO_REPLAY", "1") not in ("0", "false", ""),
+            "replay": os.environ.get("REPRO_REPLAY", "0") not in ("0", "false", ""),
             "repro_full": full_scale(),
             "run": run_ordinal,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),

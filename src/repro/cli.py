@@ -352,9 +352,9 @@ def _perf_profile(args: argparse.Namespace) -> int:
 
     The cell selectors mirror ``telemetry diagnose`` so a slow trial can
     be profiled with the same flags that diagnosed it.  ``--exec`` picks
-    the execution tier under the profiler: the plain per-trial simulator,
-    the batch-stepped shared-heap path (honouring ``REPRO_BATCH_TRIALS``),
-    or the replay tier against a pre-warmed cell (records outside the
+    the execution tier under the profiler: the plain per-trial simulator
+    (whatever ``REPRO_REPLAY`` says), or the replay tier
+    (``REPRO_REPLAY=1``) against a pre-warmed cell (records outside the
     profiler, then profiles the ledger-verification hot path).
     """
     import cProfile
@@ -366,11 +366,7 @@ def _perf_profile(args: argparse.Namespace) -> int:
         vantage_by_name,
     )
     from repro.experiments import replay
-    from repro.experiments.runner import (
-        _run_http_batch_records,
-        _simulate_http_trial,
-        batch_window,
-    )
+    from repro.experiments.runner import _run_http_record, _simulate_http_trial
 
     vantage = vantage_by_name(args.vantage)
     website = outside_china_catalog()[args.site]
@@ -381,17 +377,16 @@ def _perf_profile(args: argparse.Namespace) -> int:
         )
         for repeat in range(args.repeats)
     ]
-    window = batch_window() if args.exec_mode == "batch" else len(tasks)
     if args.exec_mode == "replay":
         if not replay.enabled():
-            print("perf profile --exec replay needs REPRO_REPLAY on",
+            print("perf profile --exec replay needs REPRO_REPLAY=1",
                   file=sys.stderr)
             return 1
         # Warm pass: record the cell's programs before the profiler runs,
         # so the profile shows the replay path, not the recording cost.
         replay.clear()
-        for begin in range(0, len(tasks), window):
-            _run_http_batch_records(tasks[begin : begin + window])
+        for task in tasks:
+            _run_http_record(task)
     profiler = cProfile.Profile()
     profiler.enable()
     if args.exec_mode == "serial":
@@ -401,8 +396,8 @@ def _perf_profile(args: argparse.Namespace) -> int:
                 seed=seed, keyword=keyword,
             )
     else:
-        for begin in range(0, len(tasks), window):
-            _run_http_batch_records(tasks[begin : begin + window])
+        for task in tasks:
+            _run_http_record(task)
     profiler.disable()
     stats = pstats.Stats(profiler)
     if args.out:
@@ -414,7 +409,6 @@ def _perf_profile(args: argparse.Namespace) -> int:
         f"{'benign' if args.benign else 'keyword'} "
         f"seeds={args.seed}..{args.seed + args.repeats - 1} "
         f"exec={args.exec_mode}"
-        + (f" window={window}" if args.exec_mode == "batch" else "")
     )
     if args.exec_mode == "replay":
         snapshot = replay.stats()
@@ -1155,11 +1149,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top", type=int, default=25,
                    help="rows of the cumulative-time table to print")
     p.add_argument("--exec", dest="exec_mode",
-                   choices=("serial", "batch", "replay"), default="serial",
-                   help="profile: execution tier to profile — per-trial "
-                        "simulator, batch-stepped shared heap "
-                        "(REPRO_BATCH_TRIALS), or replay against a "
-                        "pre-warmed cell")
+                   choices=("serial", "replay"), default="serial",
+                   help="profile: execution tier to profile — the plain "
+                        "per-trial simulator, or replay (REPRO_REPLAY=1) "
+                        "against a pre-warmed cell")
     p.add_argument("--out", default=None,
                    help="also dump raw pstats here (e.g. profile.pstats)")
 

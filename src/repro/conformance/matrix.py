@@ -267,19 +267,12 @@ def run_cell(
 ) -> CellResult:
     """Run one cell's repeats and reduce them to counts.
 
-    Repeats are multiplexed through one shared event heap in windows of
-    ``REPRO_BATCH_TRIALS`` (byte-identical to the serial loop — pinned by
-    the batch-parity tier-1 tests); ``REPRO_BATCH_TRIALS=1`` falls back
-    to running them one at a time.  Imports the runner lazily so the
-    module stays importable in process-pool workers without dragging the
-    app stack in at enumeration time.
+    Repeats run one at a time through the runner's solo trial path
+    (replayed instead when ``REPRO_REPLAY=1``).  Imports the runner
+    lazily so the module stays importable in process-pool workers
+    without dragging the app stack in at enumeration time.
     """
-    from repro.experiments.runner import (
-        Outcome,
-        _run_http_batch_records,
-        _simulate_http_trial,
-        batch_window,
-    )
+    from repro.experiments.runner import Outcome, _run_http_record
 
     vantage = profile_vantage(cell.profile)
     website = conformance_site()
@@ -292,9 +285,8 @@ def run_cell(
         strategy=cell.strategy_id, variant=cell.gfw_variant,
         profile=cell.profile, fault=cell.fault.name,
     )
-    window = batch_window()
-    if window > 1 and repeats > 1:
-        tasks = [
+    records = [
+        _run_http_record(
             (
                 vantage,
                 website,
@@ -302,29 +294,11 @@ def run_cell(
                 calibration,
                 (seed * 1_000_003 + repeat) ^ salt,
                 True,
-            )
-            for repeat in range(repeats)
-        ]
-        records = []
-        for start in range(0, len(tasks), window):
-            records.extend(
-                _run_http_batch_records(
-                    tasks[start : start + window], gfw_variant=cell.gfw_variant
-                )
-            )
-    else:
-        records = [
-            _simulate_http_trial(
-                vantage,
-                website,
-                cell.strategy_id,
-                calibration,
-                seed=(seed * 1_000_003 + repeat) ^ salt,
-                keyword=True,
-                gfw_variant=cell.gfw_variant,
-            )[0]
-            for repeat in range(repeats)
-        ]
+            ),
+            gfw_variant=cell.gfw_variant,
+        )
+        for repeat in range(repeats)
+    ]
     for record in records:
         if record.outcome is Outcome.SUCCESS:
             result.success += 1

@@ -26,7 +26,7 @@ Everything is deterministic by construction:
   run serially or via :func:`run_sharded` with byte-identical merged
   results and trial-semantic telemetry;
 - within a group, flows run in waves of ``spec.window`` concurrent
-  trials on one ``BatchSim(shared=True)`` heap; the heap's
+  trials on one shared ``BatchSim`` heap; the heap's
   ``(time, seq)`` order is deterministic, so the race for shared
   tables replays exactly.
 
@@ -687,7 +687,7 @@ def run_fleet_group(
         wave_span = tracer.begin(
             f"wave{wave_number}", "wave", wave=wave_number, flows=len(wave)
         )
-        batch = BatchSim(shared=True)
+        batch = BatchSim()
         contexts: List[_FleetFlowContext] = []
         try:
             for index in wave:

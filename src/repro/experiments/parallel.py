@@ -235,7 +235,7 @@ def map_trials(
 
     ``trials_per_task`` tells the parent how many paper-trials one work
     unit performs — a single count shared by every task, or one entry per
-    task (batched windows have a short tail) — keeping the trials/sec
+    task (fleet client groups differ in size) — keeping the trials/sec
     accounting truthful when the actual counting happens inside worker
     processes.
     """

@@ -26,9 +26,12 @@ is a plain *miss*.  Either way the trial falls back to full simulation
 
 Knobs:
 
-- ``REPRO_REPLAY`` (default on) — the tier as a whole;
+- ``REPRO_REPLAY`` (default off) — the tier as a whole.  It is opt-in
+  because fresh-seed sweeps (the common case) almost never hit: each
+  recorded program costs a ledger-instrumented simulation and memory,
+  and pays back only when a cell's seeds repeat;
 - ``REPRO_REPLAY_PROGRAMS`` (default 16) — max recorded programs per
-  cell; misses beyond the cap run through the normal batched simulator.
+  cell; misses beyond the cap are simulated without recording.
 
 Counters (``MetricsRegistry``): ``replay.hits``, ``replay.misses``,
 ``replay.forks``, ``replay.programs``, ``replay.bytes_cached``,
@@ -62,8 +65,8 @@ ENGINE_PREFIXES = ("scenario.", "pool.", "netsim.", "result_cache.", "replay.")
 
 
 def enabled() -> bool:
-    """Whether the replay tier is on (``REPRO_REPLAY``, default on)."""
-    return env_flag("REPRO_REPLAY", default=True)
+    """Whether the replay tier is on (``REPRO_REPLAY``, default off)."""
+    return env_flag("REPRO_REPLAY", default=False)
 
 
 def program_cap() -> int:

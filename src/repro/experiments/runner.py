@@ -24,9 +24,8 @@ from time import perf_counter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.cache import KeyValueStore
-from repro.core.env import env_int
 from repro.core.intang import INTANG
-from repro.rngledger import begin_ledger, end_ledger, ledger_root
+from repro.rngledger import active_ledger, begin_ledger, end_ledger, ledger_root
 from repro.core.selection import StrategySelector
 from repro.apps.dns import DNSUdpClient
 from repro.apps.http import HTTPClient
@@ -39,10 +38,7 @@ from repro.experiments.scenarios import (
     HONEST_DNS_ANSWER,
     Scenario,
     acquire_scenario,
-    build_scenario,
-    release_scenario,
 )
-from repro.netsim.batch import BatchSim
 from repro.netstack.packet import recycle_packets
 from repro.experiments.vantage import VantagePoint
 from repro.experiments.websites import Resolver, Website
@@ -211,58 +207,33 @@ _TRIAL_WALL_SECONDS = _REGISTRY.histogram(
 )
 
 
-@dataclass
-class _HttpTrialContext:
-    """The live state of one HTTP trial between setup and finalization.
-
-    Batched execution interleaves many trials through one shared event
-    heap; each trial's pre-run state (the INTANG instance, the in-flight
-    HTTP exchange, the drift that was applied) parks here until the batch
-    run drains and the trial can be classified.
-    """
-
-    vantage: VantagePoint
-    website: Website
-    strategy_id: Optional[str]
-    keyword: bool
-    selector: Optional[StrategySelector]
-    scenario: Scenario
-    intang: INTANG
-    exchange: object
-    drift: Optional[str]
-    seed: int = 0
-    wall_start: float = 0.0
-
-
-def _http_trial_setup(
+def _simulate_http_trial(
     vantage: VantagePoint,
     website: Website,
     strategy_id: Optional[str],
-    calibration: Calibration,
-    seed: int,
-    keyword: bool,
+    calibration: Calibration = DEFAULT_CALIBRATION,
+    seed: int = 0,
+    keyword: bool = True,
     selector: Optional[StrategySelector] = None,
     trace: bool = False,
     gfw_variant: Optional[str] = None,
-    batch: Optional[BatchSim] = None,
-) -> _HttpTrialContext:
-    """Build the trial topology and queue its workload, without running.
+) -> Tuple[TrialRecord, Scenario]:
+    """Simulate one HTTP trial from scratch, returning the record *and*
+    the finished scenario (for diagnosis; the cache layer above discards
+    it).  ``trace=True`` turns on the packet trace recorder, whose events
+    also land on the telemetry bus when that is enabled.  ``gfw_variant``
+    forces a named installation variant (conformance cells).
 
-    The setup phase only *schedules* (INTANG's interception hooks, the
-    client's request segments); no event fires until the clock runs, so a
-    batch runner can interleave many set-up trials through one heap.
-    When ``batch`` is given the scenario is leased from the pool (the
-    caller hands it back via ``release_scenario``) and its clock is
-    adopted into the shared heap before anything is scheduled on it.
+    Set-up only *schedules* (INTANG's interception hooks, the client's
+    request segments); nothing fires until the clock runs.  Under a
+    recording RNG ledger the set-up/run boundary is marked, so the
+    replay tier can tell a mid-run fork from a set-up miss.
     """
     wall_start = perf_counter() if get_tracer().enabled else 0.0
     scenario = acquire_scenario(
         vantage=vantage, website=website, calibration=calibration,
         seed=seed, workload="http", trace=trace, gfw_variant=gfw_variant,
-        lease=batch is not None,
     )
-    if batch is not None:
-        batch.adopt(scenario.clock)
     intang = INTANG(
         host=scenario.client,
         tcp_host=scenario.client_tcp,
@@ -290,35 +261,22 @@ def _http_trial_setup(
         host=website.name,
         path=SENSITIVE_PATH if keyword else BENIGN_PATH,
     )
-    return _HttpTrialContext(
-        vantage=vantage,
-        website=website,
-        strategy_id=strategy_id,
-        keyword=keyword,
-        selector=selector,
-        scenario=scenario,
-        intang=intang,
-        exchange=exchange,
-        drift=drift,
-        seed=seed,
-        wall_start=wall_start,
-    )
+    ledger = active_ledger()
+    if ledger is not None:
+        ledger.mark("run")
+    scenario.run()
 
-
-def _http_trial_finalize(ctx: _HttpTrialContext) -> TrialRecord:
-    """Classify a finished trial and count it; the run phase is over."""
-    scenario = ctx.scenario
-    outcome = classify(ctx.exchange.got_response, scenario.gfw_resets_received())
-    used = ctx.intang.last_strategy_for(ctx.website.ip) or (ctx.strategy_id or "none")
-    if ctx.selector is not None:
-        ctx.intang.report_result(ctx.website.ip, outcome is Outcome.SUCCESS)
+    outcome = classify(exchange.got_response, scenario.gfw_resets_received())
+    used = intang.last_strategy_for(website.ip) or (strategy_id or "none")
+    if selector is not None:
+        intang.report_result(website.ip, outcome is Outcome.SUCCESS)
     record = TrialRecord(
         outcome=outcome,
         strategy_id=used,
-        vantage=ctx.vantage.name,
-        target=ctx.website.name,
-        keyword=ctx.keyword,
-        drift=ctx.drift,
+        vantage=vantage.name,
+        target=website.name,
+        keyword=keyword,
+        drift=drift,
         detections=scenario.gfw_detections(),
         diagnosis=diagnose_failure(scenario, outcome),
     )
@@ -331,10 +289,8 @@ def _http_trial_finalize(ctx: _HttpTrialContext) -> TrialRecord:
     )
     tracer = get_tracer()
     if tracer.enabled:
-        # The trial span is built whole here — batched trials finish out
-        # of order, so begin/end stack discipline can't describe them.
         wall_end = perf_counter()
-        _TRIAL_WALL_SECONDS.observe(max(0.0, wall_end - ctx.wall_start))
+        _TRIAL_WALL_SECONDS.observe(max(0.0, wall_end - wall_start))
         sim_end = scenario.clock.now
         tracer.add(
             make_span(
@@ -342,15 +298,15 @@ def _http_trial_finalize(ctx: _HttpTrialContext) -> TrialRecord:
                 "trial",
                 sim_start=0.0,
                 sim_end=sim_end,
-                wall_start=ctx.wall_start,
+                wall_start=wall_start,
                 wall_end=wall_end,
                 attrs={
                     "strategy": used,
-                    "vantage": ctx.vantage.name,
-                    "target": ctx.website.name,
-                    "keyword": ctx.keyword,
+                    "vantage": vantage.name,
+                    "target": website.name,
+                    "keyword": keyword,
                     "outcome": outcome.value,
-                    "seed": ctx.seed,
+                    "seed": seed,
                 },
                 children=[
                     make_span("setup", "phase", sim_start=0.0, sim_end=0.0),
@@ -358,49 +314,15 @@ def _http_trial_finalize(ctx: _HttpTrialContext) -> TrialRecord:
                 ],
             )
         )
-    return record
-
-
-def _simulate_http_trial(
-    vantage: VantagePoint,
-    website: Website,
-    strategy_id: Optional[str],
-    calibration: Calibration = DEFAULT_CALIBRATION,
-    seed: int = 0,
-    keyword: bool = True,
-    selector: Optional[StrategySelector] = None,
-    trace: bool = False,
-    gfw_variant: Optional[str] = None,
-) -> Tuple[TrialRecord, Scenario]:
-    """Simulate one HTTP trial from scratch, returning the record *and*
-    the finished scenario (for diagnosis; the cache layer above discards
-    it).  ``trace=True`` turns on the packet trace recorder, whose events
-    also land on the telemetry bus when that is enabled.  ``gfw_variant``
-    forces a named installation variant (conformance cells)."""
-    ctx = _http_trial_setup(
-        vantage, website, strategy_id, calibration, seed, keyword,
-        selector=selector, trace=trace, gfw_variant=gfw_variant,
-    )
-    ctx.scenario.run()
-    record = _http_trial_finalize(ctx)
-    return record, ctx.scenario
-
-
-def batch_window() -> int:
-    """Trials multiplexed per shared event heap (``REPRO_BATCH_TRIALS``).
-
-    1 disables batching (the per-trial run loop); the default window of
-    16 amortizes scheduler entry across a cell's seed sweep without
-    leasing more than 16 live scenario object graphs per cell.
-    """
-    return env_int("REPRO_BATCH_TRIALS", 16, minimum=1)
+    return record, scenario
 
 
 def _replay_tier_active() -> bool:
     """Whether the deterministic-replay tier may stand in for simulation.
 
-    Off when the span tracer or the event bus is enabled: both observe
-    the *simulation itself* (wall-clock spans, per-packet device events
+    The tier is opt-in (``REPRO_REPLAY=1``).  Even then it stands down
+    while the span tracer or the event bus is enabled: both observe the
+    *simulation itself* (wall-clock spans, per-packet device events
     carrying adopted sequence numbers), which a replayed trial by design
     never performs — those runs must simulate for real.
     """
@@ -409,128 +331,62 @@ def _replay_tier_active() -> bool:
 
 def _record_http_trial(
     task: Tuple, key: str, gfw_variant: Optional[str]
-) -> TrialRecord:
-    """Run one trial solo under an RNG ledger and store it as a replay
+) -> Tuple[TrialRecord, Scenario]:
+    """Simulate one trial under an RNG ledger and store it as a replay
     program: the full draw fingerprint, the record payload, and the
-    trial's registry delta (captured solo — batched trials interleave
-    their counter increments unattributably)."""
+    trial's registry delta."""
     vantage, website, strategy_id, calibration, seed, keyword = task
     registry = get_registry()
     before = registry.snapshot()
     ledger = begin_ledger(seed)
     try:
-        ctx = _http_trial_setup(
-            vantage, website, strategy_id, calibration, seed, keyword,
-            gfw_variant=gfw_variant,
+        record, scenario = _simulate_http_trial(
+            vantage, website, strategy_id, calibration,
+            seed=seed, keyword=keyword, gfw_variant=gfw_variant,
         )
-        ledger.mark("run")
-        ctx.scenario.run()
-        record = _http_trial_finalize(ctx)
     finally:
         end_ledger()
-    delta = registry.diff(before)
-    scenario = ctx.scenario
+    replay.record(key, ledger, _http_record_payload(record), registry.diff(before))
+    return record, scenario
+
+
+def _run_http_record(
+    task: Tuple,
+    selector: Optional[StrategySelector] = None,
+    gfw_variant: Optional[str] = None,
+) -> TrialRecord:
+    """The solo trial path below the result cache: acquire → set up →
+    run → finalize, then recycle the sniffed forged resets.
+
+    With ``REPRO_REPLAY=1`` (and no adaptive selector) a stored replay
+    program may stand in for the simulation, and a miss with program
+    slots left is simulated under a recording ledger.
+    """
+    vantage, website, strategy_id, calibration, seed, keyword = task
+    scenario: Optional[Scenario] = None
+    if selector is None and _replay_tier_active():
+        key = replay.task_key(task, gfw_variant)
+        program = replay.lookup(key, seed)
+        if program is not None:
+            replay.fold(program)
+            return _http_record_from_payload(program["record"])
+        if replay.can_record(key):
+            record, scenario = _record_http_trial(task, key, gfw_variant)
+    if scenario is None:
+        record, scenario = _simulate_http_trial(
+            vantage, website, strategy_id, calibration, seed=seed,
+            keyword=keyword, selector=selector, gfw_variant=gfw_variant,
+        )
+    # The record is final and the (non-lease) acquire already parked the
+    # scenario in the pool, so the sniffer's forged-reset packets are
+    # dead: harvest them into the packet free lists unless a trace
+    # retains them.  No release — a second one would alias the scenario
+    # on the free list.
     trace = scenario.trace
     if scenario.gfw_packets_at_client and (trace is None or not trace.enabled):
         recycle_packets(scenario.gfw_packets_at_client)
         scenario.gfw_packets_at_client.clear()
-    # No release: the solo (non-lease) acquire already parked the scenario
-    # in the pool; releasing again would alias one object on the free list.
-    replay.record(key, ledger, _http_record_payload(record), delta)
     return record
-
-
-def _run_http_batch_records(
-    tasks: Sequence[Tuple],
-    gfw_variant: Optional[str] = None,
-) -> List[TrialRecord]:
-    """The batch execution entry point, fronted by the replay tier.
-
-    Each task replays (ledger fingerprint matches a stored program — the
-    artifact is returned and its registry delta folded), records (a miss
-    with program slots left runs solo under a ledger), or falls through
-    to the shared-heap batch simulator with the window's other leftovers.
-    Byte-identical records and semantic telemetry either way — pinned by
-    the replay-parity tier-1 tests.
-    """
-    if not _replay_tier_active():
-        return _run_http_batch_sim(tasks, gfw_variant)
-    records: List[Optional[TrialRecord]] = [None] * len(tasks)
-    pending: List[Tuple[int, str]] = []
-    for index, task in enumerate(tasks):
-        key = replay.task_key(task, gfw_variant)
-        program = replay.lookup(key, task[4])
-        if program is not None:
-            records[index] = _http_record_from_payload(program["record"])
-            replay.fold(program)
-        else:
-            pending.append((index, key))
-    leftover: List[int] = []
-    for index, key in pending:
-        if replay.can_record(key):
-            records[index] = _record_http_trial(tasks[index], key, gfw_variant)
-        else:
-            leftover.append(index)
-    if leftover:
-        fresh = _run_http_batch_sim([tasks[i] for i in leftover], gfw_variant)
-        for index, record in zip(leftover, fresh):
-            records[index] = record
-    return records
-
-
-def _run_http_batch_sim(
-    tasks: Sequence[Tuple],
-    gfw_variant: Optional[str] = None,
-) -> List[TrialRecord]:
-    """Run a window of independent HTTP trials through one shared heap.
-
-    Each task is the usual ``(vantage, website, strategy_id, calibration,
-    seed, keyword)`` tuple.  Setup happens in task order (every RNG draw
-    a trial makes flows from its own seeded generators, so interleaving
-    the *run* phases cannot perturb any trial's draw sequence), then one
-    batch run drains every trial to its own horizon, then finalization
-    again walks task order.  Byte-identical to running the tasks one at a
-    time — pinned by the batch-parity tier-1 tests.
-    """
-    tracer = get_tracer()
-    batch_span = tracer.begin(
-        f"http-batch[{len(tasks)}]", "batch", window=len(tasks)
-    )
-    try:
-        batch = BatchSim()
-        contexts: List[_HttpTrialContext] = []
-        try:
-            for task in tasks:
-                vantage, website, strategy_id, calibration, seed, keyword = task
-                contexts.append(
-                    _http_trial_setup(
-                        vantage, website, strategy_id, calibration, seed,
-                        keyword, gfw_variant=gfw_variant, batch=batch,
-                    )
-                )
-            batch.run(
-                [ctx.scenario.calibration.trial_duration for ctx in contexts]
-            )
-        finally:
-            batch.release()
-        records = []
-        for ctx in contexts:
-            records.append(_http_trial_finalize(ctx))
-            scenario = ctx.scenario
-            # The record is final and the scenario goes straight back to
-            # the pool, so the sniffer's forged-reset packets are dead —
-            # harvest them into the packet free lists (unless a trace
-            # retains them).
-            trace = scenario.trace
-            if scenario.gfw_packets_at_client and (
-                trace is None or not trace.enabled
-            ):
-                recycle_packets(scenario.gfw_packets_at_client)
-                scenario.gfw_packets_at_client.clear()
-            release_scenario(scenario)
-        return records
-    finally:
-        tracer.end(batch_span)
 
 
 def run_http_trial(
@@ -551,33 +407,15 @@ def run_http_trial(
     ``REPRO_RESULT_CACHE=0``.
     """
     note_trials()
-    get_registry().counter("trials.run").inc()
+    _TRIALS_RUN.inc()
+    task = (vantage, website, strategy_id, calibration, seed, keyword)
     cache_key: Optional[str] = None
     if selector is None and result_cache.enabled():
-        cache_key = result_cache.trial_key(
-            "http", vantage, website, strategy_id, calibration, seed, keyword
-        )
+        cache_key = _http_task_key(task)
         hit = result_cache.lookup(cache_key)
         if hit is not None and hit.get("record") is not None:
             return _http_record_from_payload(hit["record"])
-    record: Optional[TrialRecord] = None
-    if selector is None and _replay_tier_active():
-        # The replay tier sits behind the result cache: a cache hit never
-        # folds telemetry (historical contract), so replay only stands in
-        # for trials the cache would have simulated.
-        task = (vantage, website, strategy_id, calibration, seed, keyword)
-        key = replay.task_key(task, None)
-        program = replay.lookup(key, seed)
-        if program is not None:
-            record = _http_record_from_payload(program["record"])
-            replay.fold(program)
-        elif replay.can_record(key):
-            record = _record_http_trial(task, key, None)
-    if record is None:
-        record, _scenario = _simulate_http_trial(
-            vantage, website, strategy_id, calibration,
-            seed=seed, keyword=keyword, selector=selector,
-        )
+    record = _run_http_record(task, selector=selector)
     if cache_key is not None:
         result_cache.record_trial(
             cache_key, record.outcome.value, _http_record_payload(record)
@@ -658,62 +496,20 @@ def _http_task_key(task: Tuple) -> str:
     )
 
 
-def _http_outcome_batch_worker(window: Tuple[Tuple, ...]) -> List[Outcome]:
-    """Process-pool work unit: a window of HTTP trials on one shared heap.
-
-    Mirrors :func:`run_http_trial`'s bookkeeping per trial (trial count,
-    ``trials.run``, historical-result recording) — the parent has already
-    filtered cache hits out of the window.
-    """
-    tasks = list(window)
-    cache_on = result_cache.enabled()
-    note_trials(len(tasks))
-    _TRIALS_RUN.inc(len(tasks))
-    records = _run_http_batch_records(tasks)
-    outcomes: List[Outcome] = []
-    for task, record in zip(tasks, records):
-        if cache_on:
-            result_cache.record_trial(
-                _http_task_key(task), record.outcome.value,
-                _http_record_payload(record),
-            )
-        outcomes.append(record.outcome)
-    return outcomes
-
-
 def _dispatch_http_tasks(
     tasks: List[Tuple], workers: Optional[int], shards: Optional[int] = None
 ) -> List[Outcome]:
-    """Fan trial tasks out — batch-stepped windows unless disabled.
+    """Fan trial tasks out, one solo trial per task.
 
-    ``shards`` switches from per-window pool dispatch to the persistent
-    shard runner (one contiguous slice of windows per worker, one
-    telemetry delta per shard).  Outcomes are identical either way.
+    ``shards`` (> 1) switches from per-task pool dispatch to the
+    persistent shard runner (one contiguous slice of tasks per worker,
+    one telemetry delta per shard).  Outcomes are identical either way.
     """
-    window = batch_window()
-    sharded = shards is not None and shards > 1
-    if window <= 1 or len(tasks) <= 1:
-        if sharded:
-            return run_sharded(
-                _http_outcome_worker, tasks, shards=shards, workers=workers
-            )
-        return map_trials(_http_outcome_worker, tasks, workers=workers)
-    windows = [
-        tuple(tasks[start : start + window])
-        for start in range(0, len(tasks), window)
-    ]
-    trials = [len(w) for w in windows]
-    if sharded:
-        chunks = run_sharded(
-            _http_outcome_batch_worker, windows, shards=shards,
-            workers=workers, trials_per_task=trials,
+    if shards is not None and shards > 1:
+        return run_sharded(
+            _http_outcome_worker, tasks, shards=shards, workers=workers
         )
-    else:
-        chunks = map_trials(
-            _http_outcome_batch_worker, windows, workers=workers,
-            trials_per_task=trials,
-        )
-    return [outcome for chunk in chunks for outcome in chunk]
+    return map_trials(_http_outcome_worker, tasks, workers=workers)
 
 
 def run_http_outcomes(
@@ -732,9 +528,6 @@ def run_http_outcomes(
     spawns a worker; outcomes computed by workers are recorded in this
     (parent) process so the next sweep over the same cell is warm.
 
-    Uncached trials run in batch-stepped windows (``REPRO_BATCH_TRIALS``
-    trials per shared event heap); set the knob to 1 for the per-trial
-    run loop.  The two paths are byte-identical.
     """
     tasks = [tuple(t) for t in tasks]
     if not result_cache.enabled():
@@ -794,7 +587,7 @@ def run_strategy_cell(
     ``REPRO_WORKERS`` environment knob); the seeds are fixed before
     fan-out, so the resulting :class:`RateTriple` is identical for any
     worker count.  ``shards`` (> 1) routes the fan-out through the
-    persistent shard runner instead of per-window dispatch.
+    persistent shard runner instead of per-task dispatch.
     """
     tasks = _cell_tasks(
         strategy_id, vantages, websites, calibration, repeats, seed, keyword

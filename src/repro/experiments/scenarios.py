@@ -495,9 +495,9 @@ def build_scenario(
 #: from the seed per build, so two calls with the same key but different
 #: seeds or workloads still reuse one set of heavy objects.
 #:
-#: Each key maps to a *free list* of idle scenarios: batched execution
-#: needs several live scenarios per cell simultaneously (one per trial in
-#: the window), so the pool stacks them instead of keeping one.  Keys are
+#: Each key maps to a *free list* of idle scenarios: a fleet wave needs
+#: several live scenarios per cell simultaneously (one per flow in the
+#: wave), so the pool stacks them instead of keeping one.  Keys are
 #: LRU-ordered; the total scenario count is bounded by
 #: ``REPRO_SCENARIO_POOL_MAX`` (a 792-cell conformance sweep would
 #: otherwise keep every cell's topology alive forever).
@@ -571,9 +571,9 @@ def acquire_scenario(
 
     By default the scenario is returned to the free list immediately (a
     serial trial finishes with it before the next acquire can pop it).
-    ``lease=True`` keeps it checked out — batched execution leases a whole
+    ``lease=True`` keeps it checked out — a fleet wave leases a whole
     window of scenarios at once and hands each back via
-    :func:`release_scenario` when its trial is finalized.
+    :func:`release_scenario` when its flow is finalized.
     """
     target = resolver if workload == "dns" else website
     if trace or target is None or not env_flag("REPRO_SCENARIO_REUSE", True):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import random
+import zlib
 from typing import Dict, Optional, Tuple
 
 from repro.rngledger import TrialRandom, as_trial_random
@@ -93,7 +94,7 @@ class FieldSanitizerBox(InlineBox):
         self.drop_no_flag = drop_no_flag
         self.drop_fin = drop_fin
         self.drop_rst = drop_rst
-        self.rng = as_trial_random(rng) or TrialRandom(hash(name) & 0xFFFFFFFF)
+        self.rng = as_trial_random(rng) or TrialRandom(zlib.crc32(name.encode()))
         self.dropped: Dict[str, int] = {}
 
     def _roll(self, probability: float, label: str) -> bool:
@@ -173,7 +174,7 @@ class StatefulFirewallBox(InlineBox):
         #: Probability a matching RST/FIN actually poisons the entry —
         #: some boxes only "sometimes" adopt forged control packets.
         self.teardown_probability = teardown_probability
-        self.rng = as_trial_random(rng) or TrialRandom(hash(name) & 0xFFFFFFFF)
+        self.rng = as_trial_random(rng) or TrialRandom(zlib.crc32(name.encode()))
         self._entries: Dict[Tuple, _FirewallEntry] = {}
         self.packets_blocked = 0
         self.teardowns = 0

@@ -1,13 +1,14 @@
-"""Batch-stepped execution: many independent trials, one event heap.
+"""Shared-heap execution: many concurrent flows, one event heap.
 
-A paper-scale sweep runs thousands of *independent* trials whose event
-loops are individually tiny (a few hundred events each).  Paying a fresh
-heap, run-loop entry, and per-trial drain for each one is pure scheduler
-overhead.  :class:`BatchSim` amortizes it: the clocks of many trials are
-*adopted* into one shared binary heap and a single run loop drains all of
-them together.
+The fleet engine (``experiments/fleet.py``) runs waves of client flows
+whose GFW devices deliberately share one flow table, blacklist and
+cluster, so the censor's stateful machinery is exercised under
+concurrent load (LRU churn, resync pressure, blacklist collateral).
+:class:`BatchSim` gives such a wave one event loop: the clocks of its
+trials are *adopted* into one shared binary heap and a single run loop
+drains all of them together.
 
-Correctness rests on two invariants:
+Determinism rests on two invariants:
 
 1. **Trial-id tagging via sequence striding.**  Heap entries stay the
    ``(time, seq, event)`` 3-tuples the whole engine pushes (including the
@@ -15,45 +16,34 @@ Correctness rests on two invariants:
    clock's ``_seq`` to ``tid << TRIAL_SHIFT``.  Every scheduling path
    only ever increments ``_seq``, so each trial's entries occupy a
    disjoint, per-trial monotonic seq range: tie-breaking *within* a trial
-   is byte-identical to serial execution, cross-trial keys never collide,
-   and the run loop recovers the owning trial with ``seq >> TRIAL_SHIFT``.
+   is exactly a private clock's, cross-trial keys never collide, and the
+   run loop recovers the owning trial with ``seq >> TRIAL_SHIFT``.
 
 2. **Per-trial virtual clocks.**  Adopted clocks share only the queue;
    each keeps its own ``_now`` (set from the popped entry's time before
    the event fires) and its own ``_run_until`` horizon, so timestamps
    observed by TCP stacks, GFW devices, and trace ladders are exactly
-   what a private clock would have shown.  Trials never share RNGs or
-   mutable state — independence is the caller's contract, enforced by the
-   scenario layer which builds disjoint object graphs per trial.
+   what a private clock would have shown.
 
 An event popped past its own trial's horizon is discarded, which is
-observably identical to the serial run loop leaving it queued (the
+observably identical to a private run loop leaving it queued (the
 scenario is reset before any later run could fire it).
 
-**Shared-device batch mode** (``BatchSim(shared=True)``) inverts the
-independence contract on purpose: the fleet engine multiplexes many
-*client flows* whose GFW devices deliberately share one flow table,
-blacklist, and cluster, so the censor's stateful machinery is exercised
-under concurrent load (LRU churn, resync pressure, blacklist collateral).
-Two things change:
-
-- each adoption carries an explicit **flow id** (:meth:`adopt`'s
-  ``flow_id``), a stable workload-level identity that shared devices use
-  to namespace their flow-table keys.  Trial ids restart at 0 for every
-  ``BatchSim``; flow ids are global across the waves of a fleet run, so
-  shared state keyed by them never aliases across waves;
-- cross-trial event interleaving is now *observable* (trials race for
-  the shared tables in heap order).  The heap order itself is still
-  deterministic — ``(time, seq)`` keys are pure functions of the
-  adopted trials — so a fleet wave remains reproducible; it is just no
-  longer equivalent to running its trials one at a time, which is the
-  entire point.
+Each adoption carries a **flow id** (:meth:`BatchSim.adopt`'s
+``flow_id``), a stable workload-level identity that shared devices use
+to namespace their flow-table keys.  Trial ids restart at 0 for every
+``BatchSim``; flow ids are global across the waves of a fleet run, so
+shared state keyed by them never aliases across waves.  Cross-trial
+event interleaving is observable (trials race for the shared tables in
+heap order), but the heap order itself is deterministic — ``(time,
+seq)`` keys are pure functions of the adopted trials — so a wave
+replays exactly.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Set, Union
 
 from repro.netsim.simclock import SimClock, _INF
 from repro.telemetry.trace import get_tracer
@@ -66,36 +56,33 @@ TRIAL_SHIFT = 32
 
 
 class BatchSim:
-    """Multiplexes many independent trials' events through one heap.
+    """Multiplexes many trials' events through one heap.
 
     Lifecycle::
 
         batch = BatchSim()
         for each trial:
-            scenario = acquire_scenario(...)   # clock reset -> empty queue
-            batch.adopt(scenario.clock)
+            scenario = acquire_scenario(..., lease=True)  # empty queue
+            batch.adopt(scenario.clock, flow_id=...)
             ... per-trial setup (posts events on the adopted clock) ...
-        batch.run(duration)                    # drains every trial
+        batch.run(durations)                   # drains every trial
         ... per-trial finalization ...
         batch.release()                        # detach clocks
 
     ``adopt`` must see a freshly reset clock (empty queue); resetting a
     clock *while* adopted would clear the shared heap and is a contract
     violation.
-
-    ``shared=True`` declares shared-device mode: the caller's trials
-    intentionally share mutable device state (the fleet workload), and
-    each adoption may carry an explicit ``flow_id`` — the stable
-    workload-level identity shared devices key their per-flow state by.
     """
 
-    __slots__ = ("_queue", "_clocks", "_flow_ids", "shared")
+    __slots__ = ("_queue", "_clocks", "_clock_ids", "_flow_ids", "_flow_id_set")
 
-    def __init__(self, shared: bool = False) -> None:
+    def __init__(self) -> None:
         self._queue: list = []
         self._clocks: List[SimClock] = []
+        #: ``id()`` of every adopted clock: O(1) re-adoption checks.
+        self._clock_ids: Set[int] = set()
         self._flow_ids: List[int] = []
-        self.shared = shared
+        self._flow_id_set: Set[int] = set()
 
     @property
     def trials(self) -> int:
@@ -104,22 +91,24 @@ class BatchSim:
     def adopt(self, clock: SimClock, flow_id: Optional[int] = None) -> int:
         """Point ``clock`` at the shared heap; returns its trial id.
 
-        ``flow_id`` (shared-device mode) is the workload-level flow
-        identity for this trial; it defaults to the trial id.  Flow ids
-        must be unique within one batch — duplicate ids would alias
-        shared per-flow state between two live trials.
+        ``flow_id`` is the workload-level flow identity for this trial;
+        it defaults to the trial id.  Flow ids must be unique within one
+        batch — duplicate ids would alias shared per-flow state between
+        two live trials.
         """
         if clock._queue:
             raise RuntimeError("adopt requires a freshly reset clock")
-        if any(adopted is clock for adopted in self._clocks):
+        if id(clock) in self._clock_ids:
             raise RuntimeError("clock already adopted")
         tid = len(self._clocks)
         if flow_id is None:
             flow_id = tid
-        elif flow_id in self._flow_ids:
+        elif flow_id in self._flow_id_set:
             raise RuntimeError(f"flow id {flow_id} already adopted in this batch")
         self._clocks.append(clock)
+        self._clock_ids.add(id(clock))
         self._flow_ids.append(flow_id)
+        self._flow_id_set.add(flow_id)
         clock._queue = self._queue
         clock._seq = tid << TRIAL_SHIFT
         return tid
@@ -157,7 +146,7 @@ class BatchSim:
         tracer = get_tracer()
         span = tracer.begin(
             f"batch.run[{len(clocks)}]", "batch-run",
-            trials=len(clocks), shared=self.shared,
+            trials=len(clocks),
         )
         try:
             while queue and executed < budget:
@@ -192,5 +181,7 @@ class BatchSim:
             clock._queue = []
             clock._run_until = _INF
         self._clocks.clear()
+        self._clock_ids.clear()
         self._flow_ids.clear()
+        self._flow_id_set.clear()
         self._queue = []

@@ -68,7 +68,7 @@ class EventHandle(Event):
 class SimClock:
     """Binary-heap event scheduler with deterministic tie-breaking.
 
-    Batched execution (:class:`~repro.netsim.batch.BatchSim`) may point
+    The fleet's waves (:class:`~repro.netsim.batch.BatchSim`) may point
     ``_queue`` at a heap shared by many clocks and stride ``_seq`` into a
     per-trial range; every scheduling path below only ever does
     ``_seq += 1`` and pushes 3-tuples, so it is oblivious to whether the

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import random
+import zlib
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.netstack.options import (
@@ -618,7 +619,7 @@ class TCPHost:
         self.host = host
         self.clock = clock
         self.profile = profile
-        self.rng = rng or random.Random(hash(host.ip) & 0xFFFFFFFF)
+        self.rng = rng or random.Random(zlib.crc32(host.ip.encode()))
         self.connections: Dict[Tuple[int, str, int], TCPConnection] = {}
         self.listeners: Dict[int, Callable[[TCPConnection], None]] = {}
         self.drops: List[Tuple[Tuple[str, int, str, int], DropReason]] = []
@@ -640,7 +641,7 @@ class TCPHost:
         """
         if profile is not None:
             self.profile = profile
-        self.rng = rng or random.Random(hash(self.host.ip) & 0xFFFFFFFF)
+        self.rng = rng or random.Random(zlib.crc32(self.host.ip.encode()))
         self.connections.clear()
         self.listeners.clear()
         self.drops.clear()

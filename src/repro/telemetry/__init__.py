@@ -12,7 +12,7 @@ Six layers, one import surface:
   :class:`~repro.telemetry.events.TelemetryEvent` records into
   (``REPRO_TELEMETRY`` knob);
 - :mod:`repro.telemetry.trace` — the hierarchical
-  :class:`~repro.telemetry.trace.SpanTracer` (sweep → shard → batch/wave
+  :class:`~repro.telemetry.trace.SpanTracer` (sweep → shard → cell/wave
   → trial/flow → phase spans, wall + sim time, ``REPRO_TRACE`` knob)
   whose drained trees merge across shards like registry deltas;
 - :mod:`repro.telemetry.flight` — the anomaly

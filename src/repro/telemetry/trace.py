@@ -1,13 +1,13 @@
 """Causal span tracing: a hierarchical wall+sim-time span layer.
 
 A *span* is one timed unit of work — a conformance cell, a process
-shard, a batched trial window, one trial or fleet flow, or a phase
+shard, a fleet wave, one trial or fleet flow, or a phase
 inside a trial — carrying both wall-clock bounds (``wall_start`` /
 ``wall_end``, ``time.perf_counter`` seconds) and simulation-time bounds
 (``sim_start`` / ``sim_end``, :class:`~repro.netsim.sim.SimClock`
 seconds).  Spans nest: a sweep span contains shard spans, a shard span
-contains batch spans, a batch span contains trial spans, a trial span
-contains phase spans.
+contains cell or wave spans, those contain trial or flow spans, and a
+trial span contains phase spans.
 
 The contract mirrors :class:`~repro.telemetry.metrics.MetricsRegistry`
 deltas exactly: span trees are plain nested dicts — picklable and
@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 #: Span kinds whose content is a function of the workload alone —
-#: independent of worker count, shard layout, or batch windowing.
+#: independent of worker count or shard layout.
 #: Everything else (``sweep`` dispatch wrappers aside, see
 #: :func:`trial_semantic`) describes *how* the run was executed.
 SEMANTIC_KINDS = frozenset({"cell", "trial", "flow", "phase", "wave"})
@@ -80,9 +80,9 @@ class SpanTracer:
     Two usage styles, matching the two lifetimes the engines have:
 
     - :meth:`begin` / :meth:`end` (or the :meth:`span` context manager)
-      for LIFO lifetimes — sweeps, shards, batch windows;
+      for LIFO lifetimes — sweeps, shards, waves;
     - :meth:`add` for spans whose bounds are only known at finalize
-      time — batched trials and fleet flows end out of order, so the
+      time — trials and fleet flows (which end out of order), so the
       engine builds the whole tree with :func:`make_span` and attaches
       it under whatever span is open.
     """
@@ -188,7 +188,7 @@ def trial_semantic(trees: Iterable[Dict[str, Any]]) -> List[Dict[str, Any]]:
     """Reduce span trees to their execution-strategy-free content.
 
     Strips wall-clock fields (worker-dependent), hoists the children of
-    non-semantic kinds (shard/batch wrappers differ between serial and
+    non-semantic kinds (shard wrappers differ between serial and
     sharded runs), and sorts every sibling list into a canonical order
     (shards finish in arbitrary order).  Two runs of the same workload
     must reduce to equal lists whatever the execution strategy — the

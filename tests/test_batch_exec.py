@@ -1,11 +1,10 @@
-"""Tier-1 pins for batch-stepped execution.
+"""Tier-1 pins for the trial execution engine.
 
-The batch PR's correctness contract: multiplexing many trials through
-one shared :class:`BatchSim` heap — and recycling packet/scenario
-objects between them — must be observably identical to running the same
-trials one at a time.  These tests pin that contract byte-for-byte
-(records, cell rates, trial-semantic telemetry) and property-test the
-heap's per-trial ordering invariant directly.
+Every HTTP trial runs alone on its own clock, and serial, worker and
+shard runs of the same trials must be observably identical; pooled
+scenarios and recycled packet shells must not leak state from one trial
+into the next.  The fleet's shared :class:`BatchSim` heap keeps its own
+per-trial ordering pins here, property-tested directly.
 """
 
 import dataclasses
@@ -24,8 +23,9 @@ from repro.experiments import (
 from repro.experiments import scenarios
 from repro.experiments.parallel import run_sharded
 from repro.experiments.runner import (
-    _run_http_batch_records,
+    _run_http_record,
     _simulate_http_trial,
+    run_http_outcomes,
 )
 from repro.netsim.batch import TRIAL_SHIFT, BatchSim
 from repro.netsim.simclock import SimClock
@@ -70,19 +70,12 @@ def _serial_records(tasks):
     return records
 
 
-def _batched_records(tasks, window):
-    records = []
-    for begin in range(0, len(tasks), window):
-        records.extend(_run_http_batch_records(tasks[begin : begin + window]))
-    return records
-
-
 def _trial_semantic(delta):
     """Strip execution-strategy counters from a telemetry delta.
 
     ``scenario.built/reused/evicted``, ``pool.*``, ``netsim.*``,
     ``result_cache.*`` and ``replay.*`` legitimately differ between
-    serial, batched and replayed runs (they describe what the execution
+    serial, sharded and replayed runs (they describe what the execution
     engine did, not what the simulated trial did); everything else —
     GFW, DPI, TCP, trial outcome metrics — must not.
     """
@@ -97,63 +90,57 @@ def _trial_semantic(delta):
 
 
 class TestBatchParity:
-    """Batched execution is byte-identical to serial execution."""
+    """Serial, worker and shard execution are byte-identical."""
 
     @pytest.fixture(autouse=True)
-    def _fresh_pools(self):
+    def _fresh_pools(self, monkeypatch):
+        monkeypatch.setenv("REPRO_RESULT_CACHE", "0")
         scenarios.clear_scenario_pool()
         clear_packet_pool()
         yield
         scenarios.clear_scenario_pool()
         clear_packet_pool()
 
-    def test_batched_records_identical_to_serial(self):
-        tasks = _trial_tasks()
-        serial = _serial_records(tasks)
-        for window in (5, 16):  # uneven tail and the default window
-            batched = _batched_records(tasks, window)
-            assert [dataclasses.astuple(r) for r in batched] == [
-                dataclasses.astuple(r) for r in serial
-            ], f"record drift at window={window}"
-
-    def test_batched_after_batched_stays_identical(self):
-        # Pooled scenarios and recycled packet shells from a first batch
-        # must not leak state into a second run of the same tasks.
+    def test_rerun_on_warm_pools_stays_identical(self, monkeypatch):
+        # Pooled scenarios and recycled packet shells from a first pass
+        # must not leak state into a second pass of the same tasks, and
+        # both must match trials built from scratch.
         tasks = _trial_tasks(seeds=2)
-        first = _batched_records(tasks, 16)
-        second = _batched_records(tasks, 16)
-        assert [dataclasses.astuple(r) for r in first] == [
-            dataclasses.astuple(r) for r in second
-        ]
+        first = [_run_http_record(task) for task in tasks]
+        second = [_run_http_record(task) for task in tasks]
+        assert packet_pool_stats()["recycled"] > 0
+        monkeypatch.setenv("REPRO_SCENARIO_REUSE", "0")
+        fresh = _serial_records(tasks)
+        expected = [dataclasses.astuple(r) for r in fresh]
+        assert [dataclasses.astuple(r) for r in first] == expected
+        assert [dataclasses.astuple(r) for r in second] == expected
 
     def test_trial_semantic_telemetry_identical(self):
         tasks = _trial_tasks(seeds=2)
         registry = get_registry()
+        deltas = []
+        for kwargs in ({"workers": 1}, {"workers": 2}, {"workers": 2, "shards": 2}):
+            scenarios.clear_scenario_pool()
+            before = registry.snapshot()
+            run_http_outcomes(tasks, **kwargs)
+            counters, histograms = _trial_semantic(registry.diff(before))
+            # Worker imports register some instruments the parent never
+            # touched; an absent counter and a zero one account the same.
+            deltas.append(
+                ({k: v for k, v in counters.items() if v}, histograms)
+            )
+        assert deltas[0][0]["trials.run"] == len(tasks)
+        assert deltas[1] == deltas[0]
+        assert deltas[2] == deltas[0]
 
-        before = registry.snapshot()
-        _serial_records(tasks)
-        serial_delta = registry.diff(before)
-
-        scenarios.clear_scenario_pool()
-        before = registry.snapshot()
-        _batched_records(tasks, 16)
-        batched_delta = registry.diff(before)
-
-        assert _trial_semantic(serial_delta) == _trial_semantic(batched_delta)
-
-    def test_cell_rates_identical_across_execution_modes(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RESULT_CACHE", "0")
-
+    def test_cell_rates_identical_across_execution_modes(self):
         def cell(**kwargs):
             triple = run_strategy_cell(
                 "tcb-teardown-rst/ttl", VANTAGES, SITES, repeats=2, **kwargs
             )
             return (triple.success, triple.failure1, triple.failure2, triple.trials)
 
-        monkeypatch.setenv("REPRO_BATCH_TRIALS", "1")
         serial = cell(workers=1)
-        monkeypatch.delenv("REPRO_BATCH_TRIALS")
-        assert cell(workers=1) == serial
         assert cell(workers=2) == serial
         assert cell(workers=2, shards=2) == serial
 
@@ -171,6 +158,18 @@ class TestBatchSimOrdering:
         assert batch.adopt(clean) == 0
         with pytest.raises(RuntimeError):
             batch.adopt(clean)
+        batch.release()
+
+    def test_duplicate_flow_id_rejected(self):
+        batch = BatchSim()
+        assert batch.adopt(SimClock(), flow_id=7) == 0
+        with pytest.raises(RuntimeError, match="flow id 7"):
+            batch.adopt(SimClock(), flow_id=7)
+        assert batch.adopt(SimClock(), flow_id=8) == 1
+        assert [batch.flow_id_for(tid) for tid in range(batch.trials)] == [7, 8]
+        batch.release()
+        # Released batches start over: the id is free again.
+        assert batch.adopt(SimClock(), flow_id=7) == 0
         batch.release()
 
     def test_seq_ranges_are_disjoint_per_trial(self):

@@ -1,6 +1,9 @@
 """Middlebox tests: each Table 2 behaviour plus the stateful firewall."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -100,6 +103,33 @@ class TestFieldSanitizerBox:
         ]
         dropped = verdicts.count(Verdict.DROP)
         assert 60 <= dropped <= 140
+
+    def test_default_rng_is_stable_across_hash_seeds(self):
+        """Without an explicit rng the drop pattern must not depend on
+        the interpreter's string-hash salt (``PYTHONHASHSEED``)."""
+        script = (
+            "from repro.middlebox import FieldSanitizerBox\n"
+            "from repro.netstack.packet import RST, tcp_packet\n"
+            "from repro.netsim.path import Direction, Verdict\n"
+            "box = FieldSanitizerBox('b', 2, drop_rst=0.5)\n"
+            "packet = lambda: tcp_packet('10.0.0.1', '10.0.0.9', 1000, 80,"
+            " flags=RST, seq=1, payload=b'')\n"
+            "print(''.join('d' if box.process(packet(),"
+            " Direction.CLIENT_TO_SERVER, 0.0).verdict is Verdict.DROP"
+            " else 'f' for _ in range(64)))\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        patterns = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            done = subprocess.run(
+                [sys.executable, "-c", script], env=env,
+                capture_output=True, text=True, check=True,
+            )
+            patterns.append(done.stdout.strip())
+        assert len(patterns[0]) == 64
+        assert "d" in patterns[0] and "f" in patterns[0]
+        assert patterns[0] == patterns[1]
 
     def test_md5_optioned_packets_never_sanitized(self):
         """§5.3: middleboxes do not act on MD5-optioned packets."""

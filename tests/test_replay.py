@@ -20,12 +20,15 @@ from repro.experiments import (
 )
 from repro.experiments import replay, scenarios
 from repro.experiments.runner import (
+    RateTriple,
+    _cell_tasks,
     _record_http_trial,
-    _run_http_batch_records,
-    _run_http_batch_sim,
+    _run_http_record,
     _simulate_http_trial,
     run_http_trial,
+    run_strategy_cell,
 )
+from repro.gfw.models import MODEL_VARIANTS
 from repro.rngledger import (
     RngLedger,
     StreamSet,
@@ -45,9 +48,8 @@ SITES = outside_china_catalog(count=2)
 @pytest.fixture(autouse=True)
 def _fresh_pools(monkeypatch):
     monkeypatch.setenv("REPRO_RESULT_CACHE", "0")
-    # These tests pin the tier itself, so they must see it enabled even
-    # under the CI knob-off axis (REPRO_REPLAY=0 suite run); the bypass
-    # test re-disables it per-test.
+    # These tests pin the tier itself, so they switch the opt-in knob on;
+    # the bypass and default-off tests turn it back off per test.
     monkeypatch.setenv("REPRO_REPLAY", "1")
     scenarios.clear_scenario_pool()
     clear_packet_pool()
@@ -70,6 +72,17 @@ def _semantic(delta):
         if not name.startswith(replay.ENGINE_PREFIXES)
     }
     return counters, delta["histograms"]
+
+
+def _simulated(tasks, gfw_variant=None):
+    """Reference records: every task simulated from scratch."""
+    return [
+        _simulate_http_trial(
+            vantage, site, strategy, calibration,
+            seed=seed, keyword=keyword, gfw_variant=gfw_variant,
+        )[0]
+        for vantage, site, strategy, calibration, seed, keyword in tasks
+    ]
 
 
 def _counters():
@@ -208,18 +221,20 @@ class TestReplayParity:
         assert _semantic(second_delta) == _semantic(first_delta)
         assert registry.counter_value("replay.hits") >= len(tasks)
 
-    def test_batched_replay_matches_batch_sim(self):
+    def test_solo_replay_matches_simulation(self):
+        # The conformance matrix's entry point: a forced GFW variant is
+        # part of the replay cell, and replays stay record-identical.
         registry = get_registry()
+        variant = sorted(MODEL_VARIANTS)[0]
         tasks = _tasks(range(3))
-        reference = _run_http_batch_sim(tasks)
-        reference_delta = None
+        reference = _simulated(tasks, gfw_variant=variant)
 
         replay.clear()
         before = registry.snapshot()
-        recorded = _run_http_batch_records(tasks)
+        recorded = [_run_http_record(t, gfw_variant=variant) for t in tasks]
         recorded_delta = registry.diff(before)
         before = registry.snapshot()
-        replayed = _run_http_batch_records(tasks)
+        replayed = [_run_http_record(t, gfw_variant=variant) for t in tasks]
         replayed_delta = registry.diff(before)
 
         for produced in (recorded, replayed):
@@ -234,17 +249,41 @@ class TestReplayParity:
         registry = get_registry()
         replay.clear()
         before = registry.counter_value("replay.misses")
-        records = _run_http_batch_records(_tasks(range(2)))
+        records = [_run_http_record(task) for task in _tasks(range(2))]
         assert len(records) == 4
         assert replay.program_count() == 0
         assert registry.counter_value("replay.misses") == before
+
+    def test_table1_cell_with_knob_unset_records_no_programs(self, monkeypatch):
+        monkeypatch.delenv("REPRO_REPLAY")
+        replay.clear()
+        lookups = sum(_counters().values())
+        tasks = _cell_tasks(
+            "tcb-teardown-rst/ttl", CHINA_VANTAGE_POINTS[:3], SITES,
+            DEFAULT_CALIBRATION, repeats=2, seed=7, keyword=True,
+        )
+        records = [run_http_trial(*task) for task in tasks]
+        triple = run_strategy_cell(
+            "tcb-teardown-rst/ttl", CHINA_VANTAGE_POINTS[:3], SITES,
+            repeats=2, seed=7, keyword=True, workers=1,
+        )
+        assert replay.program_count() == 0
+        assert sum(_counters().values()) == lookups
+        assert replay.stats()["cells"] == 0
+
+        scenarios.clear_scenario_pool()
+        clear_packet_pool()
+        reference = _simulated(tasks)
+        assert [_astuple(r) for r in records] == [_astuple(r) for r in reference]
+        expected = RateTriple.from_outcomes(r.outcome for r in reference)
+        assert triple == expected
 
     def test_program_cap_limits_recording(self, monkeypatch):
         monkeypatch.setenv("REPRO_REPLAY_PROGRAMS", "1")
         replay.clear()
         tasks = _tasks(range(5))
-        produced = _run_http_batch_records(tasks)
-        reference = _run_http_batch_sim(tasks)
+        produced = [_run_http_record(task) for task in tasks]
+        reference = _simulated(tasks)
         assert [_astuple(r) for r in produced] == [_astuple(r) for r in reference]
         # One program per cell (site), never more, however many seeds miss.
         for site in SITES:
@@ -331,11 +370,7 @@ class TestDivergenceEdges:
         # the replay-tier entry point.
         missed = next(s for s, v in verdicts.items() if v == "miss")
         task = (VANTAGE, SITES[0], "none", _LOSSY, missed, True)
-        produced = _run_http_batch_records([task])
-        reference, _ = _simulate_http_trial(
-            VANTAGE, SITES[0], "none", _LOSSY, seed=missed, keyword=True
-        )
-        assert _astuple(produced[0]) == _astuple(reference)
+        assert _astuple(_run_http_record(task)) == _astuple(_simulated([task])[0])
 
     def test_nb3_coin_divergence_splits_miss_and_fork(self):
         verdicts = _classify_candidates(
@@ -354,20 +389,17 @@ class TestDivergenceEdges:
                 VANTAGE, SITES[0], "tcb-teardown-rst/ttl",
                 _RUN_ONLY_DIVERGENCE, seed, True,
             )
-            produced = _run_http_batch_records([task])
-            reference, _ = _simulate_http_trial(
-                VANTAGE, SITES[0], "tcb-teardown-rst/ttl",
-                _RUN_ONLY_DIVERGENCE, seed=seed, keyword=True,
+            assert _astuple(_run_http_record(task)) == _astuple(
+                _simulated([task])[0]
             )
-            assert _astuple(produced[0]) == _astuple(reference)
 
-    def test_replayed_then_forked_trial_in_one_window(self):
+    def test_replayed_then_forked_trials_back_to_back(self):
         registry = get_registry()
         verdicts = _classify_candidates(
             _RUN_ONLY_DIVERGENCE, "tcb-teardown-rst/ttl", range(1, 40)
         )
         forked = next(s for s, v in verdicts.items() if v == "fork")
-        window = [
+        tasks = [
             (VANTAGE, SITES[0], "tcb-teardown-rst/ttl",
              _RUN_ONLY_DIVERGENCE, 0, True),       # recorded: replays
             (VANTAGE, SITES[0], "tcb-teardown-rst/ttl",
@@ -375,17 +407,12 @@ class TestDivergenceEdges:
         ]
         hits0 = registry.counter_value("replay.hits")
         forks0 = registry.counter_value("replay.forks")
-        produced = _run_http_batch_records(window)
+        produced = [_run_http_record(task) for task in tasks]
         assert registry.counter_value("replay.hits") == hits0 + 1
         assert registry.counter_value("replay.forks") == forks0 + 1
-
-        reference = []
-        for vantage, site, strategy, calibration, seed, keyword in window:
-            record, _ = _simulate_http_trial(
-                vantage, site, strategy, calibration, seed=seed, keyword=keyword
-            )
-            reference.append(record)
-        assert [_astuple(r) for r in produced] == [_astuple(r) for r in reference]
+        assert [_astuple(r) for r in produced] == [
+            _astuple(r) for r in _simulated(tasks)
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +430,9 @@ class TestCounters:
     def test_stats_snapshot_tracks_activity(self):
         replay.clear()
         tasks = _tasks(range(2))
-        _run_http_batch_records(tasks)
-        _run_http_batch_records(tasks)
+        for _ in range(2):
+            for task in tasks:
+                _run_http_record(task)
         stats = replay.stats()
         assert stats["programs"] == replay.program_count() > 0
         assert stats["cells"] == len(SITES)
