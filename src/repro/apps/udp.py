@@ -37,6 +37,11 @@ class UDPHost:
     def unbind(self, port: int) -> None:
         self._sockets.pop(port, None)
 
+    def close(self) -> None:
+        """Unbind every socket.  The bound handlers are usually methods of
+        applications that hold this object, so this also frees them."""
+        self._sockets.clear()
+
     def sendto(
         self, payload: bytes, dst_ip: str, dst_port: int, src_port: int
     ) -> None:

@@ -358,6 +358,7 @@ def _perf_profile(args: argparse.Namespace) -> int:
     profiler, then profiles the ledger-verification hot path).
     """
     import cProfile
+    import gc
     import pstats
 
     from repro.experiments import (
@@ -387,18 +388,35 @@ def _perf_profile(args: argparse.Namespace) -> int:
         replay.clear()
         for task in tasks:
             _run_http_record(task)
+    # Cycle-collector activity over the profiled loop: trial state is
+    # meant to be freed by reference counting alone, so any collection
+    # that finds objects names a lost acyclicity.
+    collector = {"runs": 0, "found": 0}
+
+    def on_collect(phase: str, info: dict) -> None:
+        if phase == "stop":
+            collector["runs"] += 1
+            collector["found"] += info["collected"]
+
     profiler = cProfile.Profile()
-    profiler.enable()
-    if args.exec_mode == "serial":
-        for _, _, _, _, seed, keyword in tasks:
-            _simulate_http_trial(
-                vantage, website, args.strategy, DEFAULT_CALIBRATION,
-                seed=seed, keyword=keyword,
-            )
-    else:
-        for task in tasks:
-            _run_http_record(task)
-    profiler.disable()
+    gc.collect()
+    gc.callbacks.append(on_collect)
+    try:
+        profiler.enable()
+        if args.exec_mode == "serial":
+            for _, _, _, _, seed, keyword in tasks:
+                _simulate_http_trial(
+                    vantage, website, args.strategy, DEFAULT_CALIBRATION,
+                    seed=seed, keyword=keyword,
+                )
+        else:
+            for task in tasks:
+                _run_http_record(task)
+        profiler.disable()
+        runs = collector["runs"]
+        gc.collect()  # what the loop left for a later automatic run
+    finally:
+        gc.callbacks.remove(on_collect)
     stats = pstats.Stats(profiler)
     if args.out:
         stats.dump_stats(args.out)
@@ -409,6 +427,10 @@ def _perf_profile(args: argparse.Namespace) -> int:
         f"{'benign' if args.benign else 'keyword'} "
         f"seeds={args.seed}..{args.seed + args.repeats - 1} "
         f"exec={args.exec_mode}"
+    )
+    print(
+        f"gc: {runs * 1000 / len(tasks):.1f} collections per 1000 trials, "
+        f"{collector['found'] / len(tasks):.1f} cyclic objects per trial"
     )
     if args.exec_mode == "replay":
         snapshot = replay.stats()

@@ -8,13 +8,14 @@ access latency)."
 
 :class:`KeyValueStore` reproduces the used feature set (get/set/delete,
 per-key TTL, expiry callbacks, snapshot persistence) against the
-simulation clock; :class:`LRUCache` is the O(1) linked-list+dict front
-cache.
+simulation clock; :class:`LRUCache` is the O(1) front cache, with the
+paper's linked list and hash table folded into one ordered dict.
 """
 
 from __future__ import annotations
 
 import json
+from collections import OrderedDict
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 
@@ -143,6 +144,9 @@ class KeyValueStore:
         self.sweep()  # also refreshes the next-expiry watermark
 
 
+_MISS = object()
+
+
 def _json_safe(value: Any) -> bool:
     try:
         json.dumps(value)
@@ -151,104 +155,45 @@ def _json_safe(value: Any) -> bool:
     return True
 
 
-class _Node:
-    __slots__ = ("key", "value", "prev", "next")
-
-    def __init__(self, key: str, value: Any) -> None:
-        self.key = key
-        self.value = value
-        self.prev: Optional["_Node"] = None
-        self.next: Optional["_Node"] = None
-
-
 class LRUCache:
-    """O(1) least-recently-used cache (doubly linked list + dict)."""
+    """O(1) least-recently-used cache on an ordered dict (last = most recent)."""
 
     def __init__(self, capacity: int = 256) -> None:
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._map: Dict[str, _Node] = {}
-        self._head: Optional[_Node] = None  # most recent
-        self._tail: Optional[_Node] = None  # least recent
+        self._map: "OrderedDict[str, Any]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
 
     def get(self, key: str, default: Any = None) -> Any:
-        node = self._map.get(key)
-        if node is None:
+        if key not in self._map:
             self.misses += 1
             return default
         self.hits += 1
-        self._move_to_front(node)
-        return node.value
+        self._map.move_to_end(key)
+        return self._map[key]
 
     def put(self, key: str, value: Any) -> None:
-        node = self._map.get(key)
-        if node is not None:
-            node.value = value
-            self._move_to_front(node)
-            return
-        node = _Node(key, value)
-        self._map[key] = node
-        self._link_front(node)
+        self._map[key] = value
+        self._map.move_to_end(key)
         if len(self._map) > self.capacity:
-            assert self._tail is not None
-            evicted = self._tail
-            self._unlink(evicted)
-            del self._map[evicted.key]
+            self._map.popitem(last=False)
             self.evictions += 1
 
     def delete(self, key: str) -> bool:
         """Drop one entry (used for invalidation by the fronted store)."""
-        node = self._map.pop(key, None)
-        if node is None:
-            return False
-        self._unlink(node)
-        return True
+        return self._map.pop(key, _MISS) is not _MISS
 
     def clear(self) -> None:
         self._map.clear()
-        self._head = None
-        self._tail = None
 
     def __contains__(self, key: str) -> bool:
         return key in self._map
 
     def __len__(self) -> int:
         return len(self._map)
-
-    # -- linked-list plumbing ---------------------------------------------
-    def _move_to_front(self, node: _Node) -> None:
-        if self._head is node:
-            return
-        self._unlink(node)
-        self._link_front(node)
-
-    def _link_front(self, node: _Node) -> None:
-        node.prev = None
-        node.next = self._head
-        if self._head is not None:
-            self._head.prev = node
-        self._head = node
-        if self._tail is None:
-            self._tail = node
-
-    def _unlink(self, node: _Node) -> None:
-        if node.prev is not None:
-            node.prev.next = node.next
-        if node.next is not None:
-            node.next.prev = node.prev
-        if self._head is node:
-            self._head = node.next
-        if self._tail is node:
-            self._tail = node.prev
-        node.prev = None
-        node.next = None
-
-
-_MISS = object()
 
 
 class FrontedStore:
@@ -269,10 +214,9 @@ class FrontedStore:
     def __init__(self, store: KeyValueStore, front_capacity: int = 256) -> None:
         self.store = store
         self.front = LRUCache(front_capacity)
-        store.on_expire(self._invalidate)
-
-    def _invalidate(self, key: str) -> None:
-        self.front.delete(key)
+        # The front's own method, not one of ours: the store must not
+        # point back at this object (it would make the pair a cycle).
+        store.on_expire(self.front.delete)
 
     # -- the KeyValueStore surface ----------------------------------------
     def set(self, key: str, value: Any, ttl: Optional[float] = None) -> None:

@@ -37,6 +37,9 @@ StrategyFactory = Callable[[ConnectionContext], EvasionStrategy]
 
 ConnKey = Tuple[int, str, int]  # (src_port, dst_ip, dst_port)
 
+_METRIC_INTERCEPTED = get_registry().counter("strategy.packets_intercepted")
+_METRIC_DROPPED = get_registry().counter("strategy.packets_dropped")
+
 
 class InterceptionFramework:
     """Wires strategies into a client host's packet paths."""
@@ -64,9 +67,6 @@ class InterceptionFramework:
         self.udp_hooks: List[Callable[[IPPacket, float], Optional[List[IPPacket]]]] = []
         self._attached = False
         self._bus = get_bus()
-        registry = get_registry()
-        self._metric_intercepted = registry.counter("strategy.packets_intercepted")
-        self._metric_dropped = registry.counter("strategy.packets_dropped")
         self.attach()
 
     # ------------------------------------------------------------------
@@ -121,10 +121,10 @@ class InterceptionFramework:
         ctx.observe_outgoing(packet)
         strategy = self.strategies[key]
         released = strategy.on_outgoing(packet)
-        self._metric_intercepted.inc()
+        _METRIC_INTERCEPTED.inc()
         dropped = packet not in released
         if dropped:
-            self._metric_dropped.inc()
+            _METRIC_DROPPED.inc()
         if self._bus.enabled:
             verdict = "drop" if dropped else (
                 "accept" if released == [packet] else "rewrite"

@@ -33,6 +33,11 @@ from repro.core.strategy_base import ConnectionContext, EvasionStrategy
 from repro.telemetry.events import get_bus
 from repro.telemetry.metrics import get_registry
 
+_REGISTRY = get_registry()
+_STRATEGIES_BUILT = _REGISTRY.counter("intang.strategies_built")
+_RESULTS_SUCCESS = _REGISTRY.counter("intang.results_success")
+_RESULTS_FAILURE = _REGISTRY.counter("intang.results_failure")
+
 
 class INTANG:
     """The measurement-driven evasion tool."""
@@ -79,14 +84,37 @@ class INTANG:
             self.hop_estimator = HopEstimator(network, host.ip, delta=hop_delta)
         #: connection key -> (server_ip, strategy_id) for result feedback.
         self.active: Dict[Tuple[int, str, int], Tuple[str, str]] = {}
-        self._make_strategy_factory = make_strategy_factory
+
+        # The framework is owned through the host's handler lists, so its
+        # callbacks close over only the state they use, never over this
+        # object: INTANG stays freeable by reference counting alone, and a
+        # discarded INTANG (the DNS trial idiom) keeps intercepting.
+        selector = self.selector
+        active = self.active
+        hop_estimator = self.hop_estimator
+
+        def build_strategy(ctx: ConnectionContext) -> EvasionStrategy:
+            strategy_id = fixed_strategy or selector.choose(ctx.dst_ip)
+            active[ctx.key()] = (ctx.dst_ip, strategy_id)
+            _STRATEGIES_BUILT.inc()
+            get_bus().publish(
+                "intang", "strategy_selected", time=clock.now,
+                server=ctx.dst_ip, strategy=strategy_id,
+                fixed=fixed_strategy is not None,
+            )
+            return make_strategy_factory(strategy_id)(ctx)
+
+        def insertion_ttl(server_ip: str) -> int:
+            if hop_estimator is None:
+                return 10
+            return hop_estimator.insertion_ttl(server_ip)
 
         self.framework = InterceptionFramework(
             host=host,
             clock=clock,
             rng=self.rng,
-            strategy_factory=self._build_strategy,
-            insertion_ttl_for=self._insertion_ttl,
+            strategy_factory=build_strategy,
+            insertion_ttl_for=insertion_ttl,
         )
         self.dns_forwarder: Optional[DNSForwarder] = None
         if dns_resolver_ip is not None:
@@ -95,33 +123,12 @@ class INTANG:
             )
 
     # ------------------------------------------------------------------
-    def _insertion_ttl(self, server_ip: str) -> int:
-        if self.hop_estimator is None:
-            return 10
-        return self.hop_estimator.insertion_ttl(server_ip)
-
-    def _build_strategy(self, ctx: ConnectionContext) -> EvasionStrategy:
-        strategy_id = self.fixed_strategy or self.selector.choose(ctx.dst_ip)
-        self.active[ctx.key()] = (ctx.dst_ip, strategy_id)
-        get_registry().counter("intang.strategies_built").inc()
-        get_bus().publish(
-            "intang", "strategy_selected", time=self.clock.now,
-            server=ctx.dst_ip, strategy=strategy_id,
-            fixed=self.fixed_strategy is not None,
-        )
-        factory = self._make_strategy_factory(strategy_id)
-        return factory(ctx)
-
-    # ------------------------------------------------------------------
     def report_result(self, server_ip: str, success: bool) -> None:
         """Feed back the outcome of the most recent trial to a server."""
         strategy_id = self.last_strategy_for(server_ip)
         if strategy_id is None:
             return
-        registry = get_registry()
-        registry.counter(
-            "intang.results_success" if success else "intang.results_failure"
-        ).inc()
+        (_RESULTS_SUCCESS if success else _RESULTS_FAILURE).inc()
         get_bus().publish(
             "intang", "result_reported", time=self.clock.now,
             server=server_ip, strategy=strategy_id, success=success,

@@ -30,6 +30,8 @@ from repro.netsim.simclock import SimClock
 from repro.telemetry.events import get_bus
 from repro.telemetry.metrics import get_registry
 
+_METRIC_INSERTIONS = get_registry().counter("strategy.insertions_sent")
+
 
 class ConnectionContext:
     """Per-connection state shared by the framework and its strategy."""
@@ -67,9 +69,6 @@ class ConnectionContext:
         #: Insertion packets this connection emitted (for tests/metrics).
         self.insertions_sent: List[IPPacket] = []
         self._bus = get_bus()
-        self._metric_insertions = get_registry().counter(
-            "strategy.insertions_sent"
-        )
 
     # -- observation hooks (called by the framework) -----------------------
     def observe_outgoing(self, packet: IPPacket) -> None:
@@ -148,7 +147,7 @@ class ConnectionContext:
         for _ in range(max(1, copies)):
             duplicate = packet.copy()
             self.insertions_sent.append(duplicate)
-            self._metric_insertions.inc()
+            _METRIC_INSERTIONS.inc()
             self.raw_send(duplicate)
         if self._bus.enabled:
             self._bus.publish(
@@ -168,7 +167,7 @@ class ConnectionContext:
         for _ in range(max(1, copies)):
             duplicate = packet.copy()
             self.insertions_sent.append(duplicate)
-            self._metric_insertions.inc()
+            _METRIC_INSERTIONS.inc()
             released.append(duplicate)
         if self._bus.enabled:
             self._bus.publish(

@@ -281,6 +281,49 @@ def flow_spec(spec: FleetSpec, index: int) -> FlowSpec:
     )
 
 
+class EvictionLog:
+    """Which fleet flows the shared flow tables evicted, and how.
+
+    The tables' ``on_evict`` callback is :meth:`record`; the log holds
+    no reference back to the tables or to :class:`SharedGFWState`, so a
+    finished group is freed by reference counting alone.
+    """
+
+    def __init__(self) -> None:
+        #: Flow ids whose TCB was evicted while still mid-stream.
+        self.active_flows: Set[int] = set()
+        #: namespace -> the namespaced flow-table key that was evicted
+        #: (flight-recorder context: *which* TCB the LRU dropped).
+        self.keys: Dict[int, object] = {}
+        self.in_resync = 0
+        self._bus = get_bus()
+
+    def record(self, key: object, flow: GFWFlow) -> None:
+        # Namespaced keys are (flow_id, ConnKey); the fleet engine
+        # always namespaces, but stay defensive about plain keys.
+        namespace = (
+            key[0]
+            if isinstance(key, tuple) and key and isinstance(key[0], int)
+            else None
+        )
+        in_resync = flow.state is GFWFlowState.RESYNC
+        if in_resync:
+            self.in_resync += 1
+            _FLEET_EVICT_RESYNC.inc()
+        if not flow.fin_seen and namespace is not None:
+            self.active_flows.add(namespace)
+            self.keys[namespace] = key
+        self._bus.publish(
+            "fleet",
+            "flow_evicted",
+            flow=namespace,
+            key=repr(key),
+            state=flow.state.value,
+            after_fin=flow.fin_seen,
+            in_resync=in_resync,
+        )
+
+
 class SharedGFWState:
     """The one censoring installation an entire flow group shares.
 
@@ -302,13 +345,8 @@ class SharedGFWState:
         #: per-position lists above).  Homogeneous groups hold exactly
         #: one entry keyed by ``spec.gfw_variant``.
         self._members: Dict[str, Tuple[GFWCluster, int]] = {}
-        #: Flow ids whose TCB was evicted while still mid-stream.
-        self.evicted_active_flows: Set[int] = set()
-        #: namespace -> the namespaced flow-table key that was evicted
-        #: (flight-recorder context: *which* TCB the LRU dropped).
-        self.evicted_keys: Dict[int, object] = {}
-        self.evictions_in_resync = 0
-        self._bus = get_bus()
+        #: Eviction attribution; the flow tables report into it.
+        self.evictions = EvictionLog()
         if self._hetero:
             # One full installation per ensemble member, living side by
             # side: routes resolve to members, so wave N's blacklistings
@@ -352,35 +390,10 @@ class SharedGFWState:
         for config in configs:
             capacity = spec.max_flows or config.max_flows
             table = FlowTable(capacity)
-            table.on_evict = self._record_eviction
+            table.on_evict = self.evictions.record
             self.flow_tables.append(table)
             self.blacklists.append(Blacklist(config.blacklist_duration))
             self.blocked_ips.append(set())
-
-    def _record_eviction(self, key: object, flow: GFWFlow) -> None:
-        # Namespaced keys are (flow_id, ConnKey); the fleet engine
-        # always namespaces, but stay defensive about plain keys.
-        namespace = (
-            key[0]
-            if isinstance(key, tuple) and key and isinstance(key[0], int)
-            else None
-        )
-        in_resync = flow.state is GFWFlowState.RESYNC
-        if in_resync:
-            self.evictions_in_resync += 1
-            _FLEET_EVICT_RESYNC.inc()
-        if not flow.fin_seen and namespace is not None:
-            self.evicted_active_flows.add(namespace)
-            self.evicted_keys[namespace] = key
-        self._bus.publish(
-            "fleet",
-            "flow_evicted",
-            flow=namespace,
-            key=repr(key),
-            state=flow.state.value,
-            after_fin=flow.fin_seen,
-            in_resync=in_resync,
-        )
 
     def graft(self, scenario: Scenario, flow_id: int) -> None:
         """Point a freshly built scenario's devices at the shared state.
@@ -549,7 +562,7 @@ def _dump_flow_anomaly(
         for key, entry in table.items():
             if isinstance(key, tuple) and key and key[0] == flow.index:
                 tcbs[f"device{position}:{key!r}"] = tcb_summary(entry)
-    evicted_key = shared.evicted_keys.get(flow.index)
+    evicted_key = shared.evictions.keys.get(flow.index)
     flight.record(
         anomaly,
         time=scenario.clock.now,
@@ -622,7 +635,7 @@ def _finalize_flow(
         and outcome is Outcome.SUCCESS
         and scenario.gfw_detections() == 0
         and not any(d.missed_detections for d in scenario.gfw_devices)
-        and flow.index in shared.evicted_active_flows
+        and flow.index in shared.evictions.active_flows
     ):
         result.eviction_false_negatives += 1
         _FLEET_EVICTION_FN.inc()
@@ -714,7 +727,7 @@ def run_fleet_group(
                 ),
             )
     tracer.end(group_span)
-    result.evictions_in_resync = shared.evictions_in_resync
+    result.evictions_in_resync = shared.evictions.in_resync
     result.flows_created = sum(t.flows_created for t in shared.flow_tables)
     result.flows_evicted = sum(t.flows_evicted for t in shared.flow_tables)
     result.flows_evicted_active = sum(

@@ -36,7 +36,7 @@ catalog fields.
 from __future__ import annotations
 
 import zlib
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from repro.core.cache import FrontedStore, KeyValueStore
 from repro.core.env import env_flag
@@ -48,10 +48,30 @@ def enabled() -> bool:
     return env_flag("REPRO_RESULT_CACHE", default=True)
 
 
+#: id -> (frozen input, its fingerprint).  Holding the input keeps its id
+#: unique while the entry lives; a full memo starts over.
+_FINGERPRINTS: Dict[int, Tuple[Any, int]] = {}
+_FINGERPRINTS_MAX = 1024
+
+
 def _fingerprint(value: Any) -> int:
     """CRC-32 of ``repr(value)``; the experiment inputs are frozen
-    dataclasses whose reprs enumerate every field."""
-    return zlib.crc32(repr(value).encode("utf-8")) & 0xFFFFFFFF
+    dataclasses whose reprs enumerate every field.
+
+    A sweep passes the same few vantage, target and calibration objects
+    to every trial, and a large repr costs tens of microseconds, so
+    frozen dataclasses are memoized by identity.
+    """
+    entry = _FINGERPRINTS.get(id(value))
+    if entry is not None:
+        return entry[1]
+    fingerprint = zlib.crc32(repr(value).encode("utf-8")) & 0xFFFFFFFF
+    params = getattr(type(value), "__dataclass_params__", None)
+    if params is not None and params.frozen:
+        if len(_FINGERPRINTS) >= _FINGERPRINTS_MAX:
+            _FINGERPRINTS.clear()
+        _FINGERPRINTS[id(value)] = (value, fingerprint)
+    return fingerprint
 
 
 def trial_key(
@@ -92,12 +112,8 @@ def trial_key(
 _store: Optional[FrontedStore] = None
 
 
-def _hit_counter():
-    return get_registry().counter("result_cache.hits")
-
-
-def _miss_counter():
-    return get_registry().counter("result_cache.misses")
+_HITS = get_registry().counter("result_cache.hits")
+_MISSES = get_registry().counter("result_cache.misses")
 
 
 def _get_store() -> FrontedStore:
@@ -114,9 +130,9 @@ def lookup(key: str) -> Optional[Dict[str, Any]]:
         return None
     payload = _get_store().get(key)
     if payload is None:
-        _miss_counter().inc()
+        _MISSES.inc()
         return None
-    _hit_counter().inc()
+    _HITS.inc()
     return payload
 
 
@@ -144,8 +160,8 @@ def clear() -> None:
     just ceased to exist."""
     global _store
     _store = None
-    _hit_counter().reset()
-    _miss_counter().reset()
+    _HITS.reset()
+    _MISSES.reset()
 
 
 def stats() -> Dict[str, int]:

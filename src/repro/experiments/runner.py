@@ -780,7 +780,7 @@ def run_dns_trial(
     TCP reset).  Without INTANG the UDP query is poisoned in flight.
     """
     note_trials()
-    get_registry().counter("trials.run").inc()
+    _TRIALS_RUN.inc()
     cache_key: Optional[str] = None
     if result_cache.enabled():
         cache_key = _dns_task_key(
@@ -928,7 +928,7 @@ def run_tor_trial(
     handshake fingerprint from the GFW so no probe ever fires.
     """
     note_trials()
-    get_registry().counter("trials.run").inc()
+    _TRIALS_RUN.inc()
     scenario = acquire_scenario(
         vantage=vantage, website=bridge_site, calibration=calibration,
         seed=seed, workload="tor",
@@ -1001,7 +1001,7 @@ def run_vpn_trial(
     seed: int = 0,
 ) -> VPNTrialResult:
     note_trials()
-    get_registry().counter("trials.run").inc()
+    _TRIALS_RUN.inc()
     scenario = acquire_scenario(
         vantage=vantage, website=vpn_site, calibration=calibration,
         seed=seed, workload="vpn",

@@ -142,6 +142,33 @@ class Scenario:
             )
         return build_scenario(seed=seed, reuse=self, **self._build_args)
 
+    def dispose(self) -> None:
+        """Break this topology's reference cycles (pool eviction).
+
+        Hosts, stacks, paths and the network point at each other, and
+        queued events and handlers point back into them.  Clearing the
+        clock queue, the handlers, the connections, the path elements and
+        the network's tables leaves every object freeable by reference
+        counting alone.  The scenario is unusable afterwards, so only a
+        scenario no caller still holds may be disposed.
+        """
+        self.clock.reset()
+        for tcp_host in (self.client_tcp, self.server_tcp):
+            tcp_host.reset()  # connections, RTO handles and listeners
+        for host in (self.client, self.server):
+            host.reset()  # handlers, including the ones re-registered above
+        self._close_udp()
+        self.path.clear_elements()
+        self.network.clear()
+        self.gfw_packets_at_client.clear()
+
+    def _close_udp(self) -> None:
+        """Unbind the per-trial UDP sockets (their resolver and client
+        apps point back at them)."""
+        for udp in (self.udp_client, self.udp_server):
+            if udp is not None:
+                udp.close()
+
     def gfw_detections(self) -> int:
         return sum(len(device.detections) for device in self.gfw_devices)
 
@@ -329,6 +356,7 @@ def build_scenario(
         server = reuse.server
         client.reset()
         server.reset()
+        reuse._close_udp()
         path = reuse.path
         path.clear_elements()
         path.reconfigure(
@@ -516,19 +544,11 @@ def _pool_limit() -> int:
     return env_int("REPRO_SCENARIO_POOL_MAX", _SCENARIO_POOL_DEFAULT_MAX, minimum=0)
 
 
-def release_scenario(scenario: Scenario) -> None:
-    """Return an idle scenario to its cell's free list.
-
-    Evicts least-recently-used entries (oldest key first) once the total
-    pooled count exceeds ``REPRO_SCENARIO_POOL_MAX``; evictions are
-    counted by the ``scenario.evicted`` telemetry counter.  Scenarios
-    without a pool key (fresh builds taken outside :func:`acquire_scenario`)
-    are dropped silently.
-    """
+def _park(scenario: Scenario) -> List[Scenario]:
+    """Put ``scenario`` on its cell's free list; return the scenarios the
+    ``REPRO_SCENARIO_POOL_MAX`` bound evicted, least recently used first."""
     global _pool_count
     key = scenario._pool_key
-    if key is None:
-        return
     free = _SCENARIO_POOL.get(key)
     if free is None:
         _SCENARIO_POOL[key] = [scenario]
@@ -537,13 +557,30 @@ def release_scenario(scenario: Scenario) -> None:
         _SCENARIO_POOL.move_to_end(key)
     _pool_count += 1
     limit = _pool_limit()
+    evicted: List[Scenario] = []
     while _pool_count > limit and _SCENARIO_POOL:
         oldest_key, oldest_free = next(iter(_SCENARIO_POOL.items()))
-        oldest_free.pop(0)
+        evicted.append(oldest_free.pop(0))
         if not oldest_free:
             del _SCENARIO_POOL[oldest_key]
         _pool_count -= 1
         _SCENARIOS_EVICTED.inc()
+    return evicted
+
+
+def release_scenario(scenario: Scenario) -> None:
+    """Return an idle scenario to its cell's free list.
+
+    Evicts least-recently-used entries (oldest key first) once the total
+    pooled count exceeds ``REPRO_SCENARIO_POOL_MAX``; evictions are
+    counted by the ``scenario.evicted`` telemetry counter, and each
+    evicted scenario is disposed.  Scenarios without a pool key (fresh
+    builds taken outside :func:`acquire_scenario`) are dropped silently.
+    """
+    if scenario._pool_key is None:
+        return
+    for evicted in _park(scenario):
+        evicted.dispose()
 
 
 def acquire_scenario(
@@ -618,14 +655,21 @@ def acquire_scenario(
     scenario._pool_key = key
     if not lease:
         # Mirror the historical contract: the scenario sits in the pool
-        # while its (strictly serial) trial runs on it.
-        release_scenario(scenario)
+        # while its (strictly serial) trial runs on it.  The caller still
+        # holds it, so it is never disposed here, even when the bound
+        # evicts it at once (``REPRO_SCENARIO_POOL_MAX=0``).
+        for evicted in _park(scenario):
+            if evicted is not scenario:
+                evicted.dispose()
     return scenario
 
 
 def clear_scenario_pool() -> None:
-    """Drop all pooled scenarios (tests and benchmarks)."""
+    """Drop and dispose all pooled scenarios (tests and benchmarks)."""
     global _pool_count
+    for free in _SCENARIO_POOL.values():
+        for scenario in free:
+            scenario.dispose()
     _SCENARIO_POOL.clear()
     _pool_count = 0
 

@@ -23,6 +23,13 @@ from repro.telemetry.metrics import get_registry
 
 ConnKey = Tuple[Tuple[str, int], Tuple[str, int]]
 
+# Resolved once at import: a trial builds two flow tables.
+_REGISTRY = get_registry()
+_METRIC_CREATED = _REGISTRY.counter("gfw.flows_created")
+_METRIC_EVICTED = _REGISTRY.counter("gfw.flows_evicted")
+_METRIC_EVICTED_ACTIVE = _REGISTRY.counter("gfw.flows_evicted_active")
+_METRIC_EVICTED_AFTER_FIN = _REGISTRY.counter("gfw.flows_evicted_after_fin")
+
 
 class GFWFlowState(enum.Enum):
     """The GFW's per-flow tracking states as inferred by the paper."""
@@ -162,13 +169,6 @@ class FlowTable:
         self.flows_evicted_after_fin = 0
         self.peak_tracked = 0
         self.on_evict: Optional[Callable[[object, GFWFlow], None]] = None
-        registry = get_registry()
-        self._metric_created = registry.counter("gfw.flows_created")
-        self._metric_evicted = registry.counter("gfw.flows_evicted")
-        self._metric_evicted_active = registry.counter("gfw.flows_evicted_active")
-        self._metric_evicted_after_fin = registry.counter(
-            "gfw.flows_evicted_after_fin"
-        )
 
     # -- the dict-shaped API the device and benches use ------------------
     def get(self, key: object) -> Optional[GFWFlow]:
@@ -191,18 +191,18 @@ class FlowTable:
         if len(self._flows) >= self.capacity:
             evicted_key, evicted = self._flows.popitem(last=False)
             self.flows_evicted += 1
-            self._metric_evicted.inc()
+            _METRIC_EVICTED.inc()
             if evicted.fin_seen:
                 self.flows_evicted_after_fin += 1
-                self._metric_evicted_after_fin.inc()
+                _METRIC_EVICTED_AFTER_FIN.inc()
             else:
                 self.flows_evicted_active += 1
-                self._metric_evicted_active.inc()
+                _METRIC_EVICTED_ACTIVE.inc()
             if self.on_evict is not None:
                 self.on_evict(evicted_key, evicted)
         self._flows[key] = flow
         self.flows_created += 1
-        self._metric_created.inc()
+        _METRIC_CREATED.inc()
         if len(self._flows) > self.peak_tracked:
             self.peak_tracked = len(self._flows)
 

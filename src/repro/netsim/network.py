@@ -438,6 +438,12 @@ class Network:
         self._single_path = path if len(self._paths) == 1 else None
         return path
 
+    def clear(self) -> None:
+        """Detach every host and path (a disposed scenario's network)."""
+        self.hosts.clear()
+        self._paths.clear()
+        self._single_path = None
+
     def path_between(self, ip_a: str, ip_b: str) -> Path:
         try:
             return self._paths[frozenset((ip_a, ip_b))]

@@ -391,8 +391,11 @@ def recycle_packet(packet: "IPPacket") -> None:
     pooled shells pin no trial state.  No-op when ``REPRO_PACKET_POOL``
     is off or the free lists are full.
     """
-    if not _pool_enabled():
-        return
+    if _pool_enabled():
+        _recycle(packet)
+
+
+def _recycle(packet: "IPPacket") -> None:
     recycled = 0
     segment = packet.payload
     if type(segment) is TCPSegment and len(_SEGMENT_FREE) < _POOL_CAP:
@@ -411,11 +414,12 @@ def recycle_packet(packet: "IPPacket") -> None:
 
 
 def recycle_packets(packets: Iterable["IPPacket"]) -> None:
-    """Recycle a batch of dead packets (trial-teardown harvest)."""
+    """Recycle a batch of dead packets (trial-teardown harvest); the
+    ``REPRO_PACKET_POOL`` knob is read once per batch."""
     if not _pool_enabled():
         return
     for packet in packets:
-        recycle_packet(packet)
+        _recycle(packet)
 
 
 def packet_pool_stats() -> dict:

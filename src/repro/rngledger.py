@@ -14,8 +14,8 @@ Three pieces live here:
   *bit-identically* to its parent (it overrides none of ``random``,
   ``getrandbits`` or ``seed`` at class level, so CPython's
   ``__init_subclass__`` keeps the exact ``_randbelow`` the parent uses)
-  but can be *bound* to a ledger, at which point instance-attribute
-  shadowing installs recording wrappers over the leaf draws.  It also
+  but can be *bound* to a ledger, at which point it switches to a
+  recording subclass that wraps the leaf draws.  It also
   grows semantic draw helpers (:meth:`TrialRandom.coin`,
   :meth:`TrialRandom.branch`, :meth:`TrialRandom.pick`,
   :meth:`TrialRandom.spawn`) that replicate the historical inline idioms
@@ -77,7 +77,7 @@ __all__ = [
 
 #: Unbound parent methods: the raw C-speed draws, used by the semantic
 #: helpers and the recording wrappers so an entry is never double-counted
-#: by the instance-level leaf shadows.
+#: by the recording subclasses' leaf overrides.
 _RAW_RANDOM = random.Random.random
 _RAW_GETRANDBITS = random.Random.getrandbits
 
@@ -89,7 +89,7 @@ def _spawn_seed(rng: random.Random) -> int:
     CPython implements it as rejection sampling over ``getrandbits(32)``
     (``(2**31).bit_length() == 32``).  Replicating it here — instead of
     calling ``randrange`` — lets both bound TrialRandoms (whose
-    ``getrandbits`` may be shadowed) and plain verification streams draw
+    ``getrandbits`` may record) and plain verification streams draw
     the child seed without recording intermediate entries.
     """
     value = _RAW_GETRANDBITS(rng, 32)
@@ -164,9 +164,11 @@ class TrialRandom(random.Random):
     and every derived method (``randrange``, ``choice``, ``uniform``,
     ``shuffle``, …) consumes the underlying Mersenne Twister stream
     exactly as a plain ``Random(seed)`` would.  Recording is installed
-    per *instance* by :meth:`bind` via attribute shadowing — the derived
-    methods all reach their leaves through ``self.random`` /
-    ``self.getrandbits`` lookups, which see the instance attributes.
+    per *instance* by :meth:`bind`, which switches the instance to a
+    recording subclass — the derived methods all reach their leaves
+    through ``self.random`` / ``self.getrandbits`` lookups, which see
+    the subclass overrides.  (A bound method stored on its own instance
+    would make every bound stream a reference cycle.)
     """
 
     def __init__(self, x=None) -> None:
@@ -183,42 +185,7 @@ class TrialRandom(random.Random):
         self._stream = ledger.streams
         ledger.streams += 1
         self._opaque = opaque
-        if opaque:
-            self.randrange = self._recording_randrange
-            self.randint = self._recording_randint
-        else:
-            self.random = self._recording_random
-            self.getrandbits = self._recording_getrandbits
-
-    def _recording_random(self) -> float:
-        value = _RAW_RANDOM(self)
-        ledger = self._ledger
-        if ledger.active:
-            ledger.entries.append((("f", self._stream), value))
-        return value
-
-    def _recording_getrandbits(self, k: int) -> int:
-        value = _RAW_GETRANDBITS(self, k)
-        ledger = self._ledger
-        if ledger.active:
-            ledger.entries.append((("g", self._stream, k), value))
-        return value
-
-    def _recording_randrange(self, start, stop=None, step=1):
-        value = random.Random.randrange(self, start, stop, step)
-        ledger = self._ledger
-        if ledger.active:
-            ledger.entries.append(
-                (("o", self._stream, "randrange", (start, stop, step)), None)
-            )
-        return value
-
-    def _recording_randint(self, a, b):
-        value = random.Random.randint(self, a, b)
-        ledger = self._ledger
-        if ledger.active:
-            ledger.entries.append((("o", self._stream, "randint", (a, b)), None))
-        return value
+        self.__class__ = _OpaqueRecordingRandom if opaque else _RecordingRandom
 
     # -- semantic draws --------------------------------------------------
     def coin(self, probability: float) -> bool:
@@ -284,6 +251,46 @@ class TrialRandom(random.Random):
             ledger.entries.append((("s", self._stream, opaque), None))
             child.bind(ledger, opaque=opaque)
         return child
+
+
+class _RecordingRandom(TrialRandom):
+    """A bound stream recording its leaf draws.  It overrides
+    ``getrandbits``, so ``__init_subclass__`` keeps the parent's
+    ``_randbelow_with_getrandbits`` and every derived draw is unchanged."""
+
+    def random(self) -> float:
+        value = _RAW_RANDOM(self)
+        ledger = self._ledger
+        if ledger.active:
+            ledger.entries.append((("f", self._stream), value))
+        return value
+
+    def getrandbits(self, k: int) -> int:
+        value = _RAW_GETRANDBITS(self, k)
+        ledger = self._ledger
+        if ledger.active:
+            ledger.entries.append((("g", self._stream, k), value))
+        return value
+
+
+class _OpaqueRecordingRandom(TrialRandom):
+    """A bound opaque stream recording at method granularity."""
+
+    def randrange(self, start, stop=None, step=1):
+        value = random.Random.randrange(self, start, stop, step)
+        ledger = self._ledger
+        if ledger.active:
+            ledger.entries.append(
+                (("o", self._stream, "randrange", (start, stop, step)), None)
+            )
+        return value
+
+    def randint(self, a, b):
+        value = random.Random.randint(self, a, b)
+        ledger = self._ledger
+        if ledger.active:
+            ledger.entries.append((("o", self._stream, "randint", (a, b)), None))
+        return value
 
 
 def ledger_root(seed: int, salt: int = 0) -> TrialRandom:

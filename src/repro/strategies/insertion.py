@@ -162,7 +162,21 @@ def _transport_len(packet: IPPacket) -> int:
     return len(serialize_tcp(packet.tcp, packet.src, packet.dst))
 
 
+_JUNK_ALPHABET = b"abcdefghijklmnopqrstuvwxyz0123456789"
+
+
 def junk_payload(ctx: ConnectionContext, length: int) -> bytes:
-    """Random printable garbage of ``length`` bytes (never matches rules)."""
-    alphabet = b"abcdefghijklmnopqrstuvwxyz0123456789"
-    return bytes(ctx.rng.choice(alphabet) for _ in range(length))
+    """Random printable garbage of ``length`` bytes (never matches rules).
+
+    The same bytes, from the same draws, as ``ctx.rng.choice(alphabet)``
+    per byte: ``Random.choice`` over 36 symbols is ``_randbelow(36)``,
+    which draws ``getrandbits(6)`` until the value is below 36.
+    """
+    getrandbits = ctx.rng.getrandbits
+    junk = bytearray(length)
+    for index in range(length):
+        draw = getrandbits(6)
+        while draw >= 36:
+            draw = getrandbits(6)
+        junk[index] = _JUNK_ALPHABET[draw]
+    return bytes(junk)

@@ -642,6 +642,10 @@ class TCPHost:
         if profile is not None:
             self.profile = profile
         self.rng = rng or random.Random(zlib.crc32(self.host.ip.encode()))
+        # An armed RTO handle and its connection point at each other; the
+        # reset clock no longer holds the handle, so drop it here.
+        for connection in self.connections.values():
+            connection._rto_handle = None
         self.connections.clear()
         self.listeners.clear()
         self.drops.clear()

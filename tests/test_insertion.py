@@ -9,6 +9,7 @@ from repro.core.strategy_base import ConnectionContext
 from repro.netstack.options import KIND_MD5SIG, KIND_TIMESTAMP
 from repro.netstack.packet import ACK, RST, SYN
 from repro.netstack.wire import tcp_checksum_valid, wire_lengths
+from repro.rngledger import RngLedger, TrialRandom
 from repro.strategies.insertion import (
     Discrepancy,
     MIDDLEBOX_SAFE,
@@ -132,3 +133,30 @@ class TestHelpers:
         junk = junk_payload(ctx, 64)
         assert len(junk) == 64
         assert b"ultrasurf" not in junk
+
+    @pytest.mark.parametrize("bound", [False, True])
+    def test_junk_payload_matches_choice_draw_for_draw(self, bound):
+        """Same bytes and same stream position as the per-byte
+        ``rng.choice(alphabet)`` expression it replaced, on a plain and
+        on a ledger-bound TrialRandom."""
+        alphabet = b"abcdefghijklmnopqrstuvwxyz0123456789"
+
+        def rng_for(seed):
+            rng = TrialRandom(seed)
+            if bound:
+                rng.bind(RngLedger(seed))
+            return rng
+
+        for seed in range(60):
+            for length in (0, 1, 7, 36, 100, 1460):
+                new_rng, old_rng = rng_for(seed), rng_for(seed)
+                context = ConnectionContext(
+                    src_ip=CLIENT_IP, src_port=1, dst_ip=SERVER_IP,
+                    dst_port=80, clock=None, rng=new_rng,
+                    raw_send=lambda p: None,
+                )
+                expected = bytes(old_rng.choice(alphabet) for _ in range(length))
+                assert junk_payload(context, length) == expected
+                assert new_rng.getrandbits(32) == old_rng.getrandbits(32)
+                if bound:
+                    assert new_rng._ledger.entries == old_rng._ledger.entries
