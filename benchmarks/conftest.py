@@ -110,12 +110,10 @@ def pytest_runtest_call(item):
         "bench": item.nodeid,
         "wall_seconds": round(elapsed, 4),
         # Effective counts, not requested ones: maps clamp workers to the
-        # task count and sharded runs can collapse to the serial path, so
-        # the recorded rate is only honest next to what actually ran.
+        # task count, so the recorded rate is only honest next to what
+        # actually ran.
         "workers": execution["workers"] or 1,
     }
-    if execution["shards"]:
-        record["shards"] = execution["shards"]
     if trials:
         # Benches that run no trials used to land here with ``trials: 0``
         # and a meaningless rate; the trial fields are now only recorded

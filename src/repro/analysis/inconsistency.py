@@ -19,7 +19,7 @@ Execution notes: per-cell seeds are fixed before fan-out (the same crc32
 salt scheme as the conformance matrix), each trial is simulated directly
 (never served from the replay tier), and device observables are
 harvested from the finished scenario before the pool can recycle it —
-so the report is byte-identical for any ``--shards``/worker split, which
+so the report is byte-identical for any worker count, which
 ``tests/test_heterogeneity.py`` pins.
 
 Heavy imports (runner, conformance) stay function-local: the module
@@ -99,7 +99,7 @@ class VerdictDistribution:
     :func:`repro.conformance.matrix.classify_counts`; this type carries
     what that reduction throws away: the counts themselves and a
     confidence interval on the success proportion.  Merging is integer
-    addition, hence associative and commutative — shard-order-proof.
+    addition, hence associative and commutative — split-order-proof.
     """
 
     success: int = 0
@@ -356,7 +356,7 @@ class InconsistencyReport:
         }
 
     def to_json(self) -> str:
-        """Canonical serialization — byte-identical for any shard split."""
+        """Canonical serialization — byte-identical for any worker split."""
         return json.dumps(self.as_payload(), indent=2, sort_keys=True)
 
 
@@ -367,12 +367,11 @@ def run_inconsistency(
     repeats: int = 6,
     seed: int = 2017,
     workers: Optional[int] = None,
-    shards: Optional[int] = None,
 ) -> InconsistencyReport:
     """Run the vantage × hour × strategy sweep against the heterogeneous
     censor and reduce it to an :class:`InconsistencyReport`."""
     from repro.conformance.matrix import conformance_site
-    from repro.experiments.parallel import map_trials, run_sharded
+    from repro.experiments.parallel import map_trials
 
     points = lab_vantages(vantages)
     website = conformance_site()
@@ -384,21 +383,12 @@ def run_inconsistency(
         for hour in hour_list
         for strategy_id in strategy_list
     ]
-    if shards is not None and shards > 1:
-        cells = run_sharded(
-            _inconsistency_cell_worker,
-            tasks,
-            shards=shards,
-            workers=workers,
-            trials_per_task=repeats,
-        )
-    else:
-        cells = map_trials(
-            _inconsistency_cell_worker,
-            tasks,
-            workers=workers,
-            trials_per_task=repeats,
-        )
+    cells = map_trials(
+        _inconsistency_cell_worker,
+        tasks,
+        workers=workers,
+        trials_per_task=repeats,
+    )
     ensemble = active_ensemble()
     routes: Dict[str, Dict] = {}
     for vantage in points:

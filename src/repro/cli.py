@@ -13,7 +13,7 @@
         --out profile.pstats                # cProfile one cell
     python -m repro telemetry diagnose --strategy resync-desync
     python -m repro telemetry metrics --json # registry snapshot of a sweep
-    python -m repro obs trace --shards 2    # Chrome/Perfetto span trace
+    python -m repro obs trace --workers 2   # Chrome/Perfetto span trace
     python -m repro obs export --latency    # OpenMetrics + p50/p90/p99
     python -m repro obs flight --out dumps/ # anomaly flight-recorder dumps
     python -m repro obs report --format md  # perf trajectory across runs
@@ -61,12 +61,10 @@ def _cmd_table1(args: argparse.Namespace) -> int:
         with_kw = run_strategy_cell(
             strategy_id, CHINA_VANTAGE_POINTS, sites, DEFAULT_CALIBRATION,
             repeats=args.repeats, seed=args.seed, keyword=True,
-            shards=args.shards,
         )
         without_kw = run_strategy_cell(
             strategy_id, CHINA_VANTAGE_POINTS, sites, DEFAULT_CALIBRATION,
             repeats=args.repeats, seed=args.seed + 1, keyword=False,
-            shards=args.shards,
         )
         results.append((label, discrepancy, with_kw, without_kw))
         print(".", end="", flush=True, file=sys.stderr)
@@ -110,14 +108,14 @@ def _cmd_table4(args: argparse.Namespace) -> int:
             label,
             run_table4_row(strategy_id, CHINA_VANTAGE_POINTS, sites,
                            DEFAULT_CALIBRATION, repeats=args.repeats,
-                           seed=args.seed, shards=args.shards),
+                           seed=args.seed),
         ))
         print(".", end="", flush=True, file=sys.stderr)
     rows.append((
         "INTANG Performance",
         run_table4_row(None, CHINA_VANTAGE_POINTS, sites, DEFAULT_CALIBRATION,
                        repeats=max(4, args.repeats), seed=args.seed,
-                       adaptive=True, shards=args.shards),
+                       adaptive=True),
     ))
     print(file=sys.stderr)
     print(format_table4(rows, title="Table 4 (inside China)"))
@@ -470,7 +468,6 @@ def _conformance_matrix(args: argparse.Namespace):
           f"x {args.repeats} repeats (seed {args.seed})", file=sys.stderr)
     return run_matrix(
         cells, repeats=args.repeats, seed=args.seed, workers=args.workers,
-        shards=getattr(args, "shards", None),
     )
 
 
@@ -725,7 +722,6 @@ def _cmd_inconsistency(args: argparse.Namespace) -> int:
             repeats=args.repeats,
             seed=args.seed,
             workers=args.workers,
-            shards=args.shards,
         )
     payload_json = report.to_json()
     if args.out:
@@ -802,7 +798,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     from repro.experiments import replay
 
     start = time_module.perf_counter()
-    result = run_fleet(spec, shards=args.shards, workers=args.workers)
+    result = run_fleet(spec, workers=args.workers)
     elapsed = time_module.perf_counter() - start
     payload = result.to_dict()
     payload["wall_seconds"] = round(elapsed, 3)
@@ -822,7 +818,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
                 "blacklist_false_positives": point.blacklist_false_positives,
             }
             for size, point in effectiveness_curve(
-                spec, sizes, shards=args.shards, workers=args.workers
+                spec, sizes, workers=args.workers
             )
         ]
     if args.out:
@@ -911,7 +907,7 @@ def _obs_trace(args: argparse.Namespace) -> int:
         get_tracer().clear()
         results = run_matrix(
             cells, repeats=args.repeats, seed=args.seed,
-            workers=args.workers, shards=args.shards,
+            workers=args.workers,
         )
         trees = get_tracer().drain()
     finally:
@@ -1009,7 +1005,7 @@ def _obs_flight(args: argparse.Namespace) -> int:
     enable_flight(True)
     try:
         get_flight().clear()
-        result = run_fleet(spec, shards=1)
+        result = run_fleet(spec)
         dumps = get_flight().drain()
     finally:
         enable_flight(False)
@@ -1117,9 +1113,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--sites", type=int, default=12)
         p.add_argument("--repeats", type=int, default=1)
         p.add_argument("--seed", type=int, default=7)
-        p.add_argument("--shards", type=int, default=None,
-                       help="persistent shard runner: contiguous work "
-                            "slices per worker (default: per-window dispatch)")
 
     sub.add_parser("table2", help="regenerate table 2")
     sub.add_parser("table3", help="regenerate table 3")
@@ -1198,9 +1191,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=2017)
     p.add_argument("--workers", type=int, default=None,
                    help="process-pool size (default: REPRO_WORKERS)")
-    p.add_argument("--shards", type=int, default=None,
-                   help="persistent shard runner: contiguous cell slices "
-                        "per worker (default: per-cell dispatch)")
     p.add_argument("--golden-dir", default=None,
                    help="override the tests/golden/ directory")
     p.add_argument("--json", action="store_true",
@@ -1231,9 +1221,6 @@ def build_parser() -> argparse.ArgumentParser:
                    dest="ensemble_seed",
                    help="route-assignment seed (default: the built-in "
                         "ensemble's)")
-    p.add_argument("--shards", type=int, default=None,
-                   help="persistent shard runner over the cell grid "
-                        "(byte-identical to serial)")
     p.add_argument("--workers", type=int, default=None,
                    help="process-pool size (default: REPRO_WORKERS)")
     p.add_argument("--json", action="store_true",
@@ -1266,8 +1253,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="GFW model variant (see gfw/models.py)")
     p.add_argument("--max-flows", type=int, default=None, dest="max_flows",
                    help="shared flow-table capacity override")
-    p.add_argument("--shards", type=int, default=1,
-                   help="process shards (whole client groups each)")
     p.add_argument("--workers", type=int, default=None,
                    help="process-pool size (default: REPRO_WORKERS)")
     p.add_argument("--curve", default=None,
@@ -1327,9 +1312,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=2017)
     p.add_argument("--workers", type=int, default=None,
                    help="[trace] process-pool size (default: REPRO_WORKERS)")
-    p.add_argument("--shards", type=int, default=None,
-                   help="[trace] persistent shard runner (span trees merge "
-                        "across shards)")
     p.add_argument("--snapshot", default=None,
                    help="[export] read this snapshot JSON instead of "
                         "running a sweep")

@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.inconsistency import VerdictDistribution
 from repro.experiments.calibration import CLEAN_ROOM, Calibration
-from repro.experiments.parallel import map_trials, run_sharded
+from repro.experiments.parallel import map_trials
 from repro.experiments.vantage import VantagePoint, vantage_by_name
 from repro.experiments.websites import Website, outside_china_catalog
 from repro.gfw.heterogeneity import HETEROGENEOUS_VARIANT, validate_variant
@@ -338,15 +338,11 @@ def run_matrix(
     repeats: int = DEFAULT_REPEATS,
     seed: int = DEFAULT_SEED,
     workers: Optional[int] = None,
-    shards: Optional[int] = None,
 ) -> Dict[str, CellResult]:
     """Run the matrix (fanned out a cell at a time), keyed by cell id.
 
     Per-cell seeds are fixed before fan-out, so the verdict map is
-    identical for any worker count.  ``shards`` switches the fan-out to
-    the persistent shard runner: each worker gets one contiguous slice of
-    the cell list (one pickled payload and one telemetry delta per shard
-    instead of per cell) — same verdicts, less dispatch overhead.
+    identical for any worker count.
     """
     if cells is None:
         cells = default_cells()
@@ -356,16 +352,7 @@ def run_matrix(
     with get_tracer().span(
         "conformance.matrix", "sweep", cells=len(tasks), repeats=repeats
     ):
-        if shards is not None and shards > 1:
-            results = run_sharded(
-                _cell_worker,
-                tasks,
-                shards=shards,
-                workers=workers,
-                trials_per_task=repeats,
-            )
-        else:
-            results = map_trials(
-                _cell_worker, tasks, workers=workers, trials_per_task=repeats
-            )
+        results = map_trials(
+            _cell_worker, tasks, workers=workers, trials_per_task=repeats
+        )
     return {result.cell.cell_id: result for result in results}

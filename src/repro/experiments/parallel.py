@@ -8,9 +8,10 @@ This module supplies the deterministic fan-out:
 
 - :func:`map_trials` — an order-preserving map over picklable work-unit
   tuples, executed inline when ``workers == 1`` (byte-identical to the
-  historical serial loops) or on a shared :class:`ProcessPoolExecutor`
-  otherwise.  Results come back in task order, so any merge downstream
-  (rate counting, per-vantage grouping) is independent of scheduling.
+  historical serial loops) or as contiguous task slices on a shared
+  :class:`ProcessPoolExecutor` otherwise.  Results come back in task
+  order, so any merge downstream (rate counting, per-vantage grouping)
+  is independent of scheduling.
 - ``REPRO_WORKERS`` — the environment knob every cell runner and bench
   reads through :func:`configured_workers`; ``0`` (or any non-positive
   value) means "all cores".
@@ -28,6 +29,7 @@ from __future__ import annotations
 import atexit
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.env import env_int
@@ -40,12 +42,11 @@ __all__ = [
     "map_trials",
     "note_trials",
     "reset_trial_count",
-    "run_sharded",
     "shutdown_pool",
     "trials_completed",
 ]
 
-#: Target number of chunks handed to each worker; >1 smooths out uneven
+#: Target number of task slices handed to each worker; >1 smooths out uneven
 #: per-trial cost (a Tor trial simulates ~12 s, a plain HTTP trial ~5 s).
 DEFAULT_CHUNKS_PER_WORKER = 4
 
@@ -83,7 +84,7 @@ def _get_pool(workers: int) -> ProcessPoolExecutor:
     Grow-only: the pool is recreated when more workers are needed, never
     torn down for fewer — a small map mid-sweep (3 tasks after a
     10,000-task cell) must not cycle every worker process.  A call that
-    needs fewer workers than the pool holds simply submits fewer chunks,
+    needs fewer workers than the pool holds simply submits fewer slices,
     so surplus processes sleep.  Reuse amortizes both process start-up
     and worker-side warm state (scenario pools, packet free lists)
     across the many cells of a sweep.
@@ -100,30 +101,27 @@ atexit.register(shutdown_pool)
 
 
 # -- execution-shape accounting (sampled by benchmarks/conftest.py) ---------
-_exec_stats = {"workers": 0, "shards": 0}
+_exec_stats = {"workers": 0}
 
 
 def reset_execution_stats() -> None:
-    """Zero the per-window effective worker/shard high-water marks."""
+    """Zero the per-window effective worker high-water mark."""
     _exec_stats["workers"] = 0
-    _exec_stats["shards"] = 0
 
 
 def execution_stats() -> dict:
-    """High-water effective worker and shard counts since the last reset.
+    """High-water effective worker count since the last reset.
 
     ``configured_workers()`` reports what the environment *asked for*;
-    these are what the engine actually used — maps clamp the worker count
-    to the task count and sharded runs may collapse to the serial path,
-    so a bench's recorded throughput is only interpretable against the
-    effective values.
+    this is what the engine actually used — maps clamp the worker count
+    to the task count, so a bench's recorded throughput is only
+    interpretable against the effective value.
     """
     return dict(_exec_stats)
 
 
-def _note_execution(workers: int, shards: int = 0) -> None:
+def _note_execution(workers: int) -> None:
     _exec_stats["workers"] = max(_exec_stats["workers"], workers)
-    _exec_stats["shards"] = max(_exec_stats["shards"], shards)
 
 
 # -- trial accounting (sampled by benchmarks/conftest.py) -------------------
@@ -146,12 +144,12 @@ def reset_trial_count() -> None:
 def _run_task_with_snapshot(
     payload: Tuple[Callable, Tuple, bool, bool]
 ) -> Tuple[Any, dict]:
-    """Worker-side wrapper: run one task, return its result plus the
-    metrics-registry delta it produced.
+    """Worker-side wrapper: run one payload (a slice of tasks), return
+    its result plus the metrics-registry delta it produced.
 
     The delta (not the full snapshot) is what merges cleanly: a worker
-    process is reused for many tasks, so its registry accumulates — the
-    parent must see only what *this* task added or counts double.
+    process is reused for many slices, so its registry accumulates — the
+    parent must see only what *this* slice added or counts double.
 
     The payload carries the parent's trace/flight switches: pool workers
     persist across calls, so environment knobs flipped after pool start
@@ -170,9 +168,10 @@ def _run_task_with_snapshot(
         from repro.telemetry.events import enable_bus
 
         enable_bus(True)
-    # Stale trees/dumps from a task whose parent died mid-merge must not
-    # leak into this task's delta.
-    tracer.drain()
+    # Stale trees/dumps from a slice whose parent died mid-merge must not
+    # leak into this slice's delta, and spans the parent had open when it
+    # forked this worker must not adopt this slice's spans.
+    tracer.clear()
     flight.drain()
     before = registry.snapshot()
     result = func(task)
@@ -208,68 +207,12 @@ def _mirrored_trials(
     return sum(trials_per_task)
 
 
-def map_trials(
-    func: Callable[[Tuple], Any],
-    tasks: Iterable[Tuple],
-    workers: Optional[int] = None,
-    chunksize: Optional[int] = None,
-    trials_per_task: Union[int, Sequence[int]] = 1,
-) -> List[Any]:
-    """Order-preserving (possibly parallel) map over trial work units.
-
-    ``func`` must be a module-level callable and every task tuple must be
-    picklable.  With one worker the map runs inline in this process, which
-    is byte-identical to the pre-engine serial loops; with more, tasks are
-    chunked onto the shared process pool and results are collected back in
-    task order, so the caller's merge never depends on scheduling.
-
-    The effective worker count is clamped to the task count: a 3-task map
-    never engages more than 3 workers, so the chunk layout cannot
-    degenerate into idle workers plus one overloaded straggler.
-
-    Each worker task also returns the metrics-registry delta it produced
-    (see :mod:`repro.telemetry.metrics`); the parent merges those deltas
-    into its own registry.  The merge is order-independent — counters and
-    histogram buckets add — so the merged registry equals the one a
-    serial run would have built, for any worker count or schedule.
-
-    ``trials_per_task`` tells the parent how many paper-trials one work
-    unit performs — a single count shared by every task, or one entry per
-    task (fleet client groups differ in size) — keeping the trials/sec
-    accounting truthful when the actual counting happens inside worker
-    processes.
-    """
-    tasks = list(tasks)
-    effective = min(configured_workers(workers), len(tasks))
-    _note_execution(max(1, effective))
-    if effective <= 1 or len(tasks) <= 1:
-        # Inline path: the trial functions themselves count trials and
-        # write the parent registry directly.
-        return [func(task) for task in tasks]
-    if chunksize is None:
-        chunksize = max(1, len(tasks) // (effective * DEFAULT_CHUNKS_PER_WORKER))
-    pool = _get_pool(effective)
-    trace_on = get_tracer().enabled
-    flight_on = get_flight().enabled
-    payloads = [(func, task, trace_on, flight_on) for task in tasks]
-    registry = get_registry()
-    results: List[Any] = []
-    for result, delta in pool.map(
-        _run_task_with_snapshot, payloads, chunksize=chunksize
-    ):
-        _merge_worker_delta(registry, delta)
-        results.append(result)
-    # Worker-process counters are invisible here; mirror their work.
-    note_trials(_mirrored_trials(trials_per_task, len(tasks)))
-    return results
-
-
 def _shard_worker(payload: Tuple[Callable, Tuple]) -> List[Any]:
-    """Worker-side shard loop: run every task of one shard in order.
+    """Worker-side slice loop: run every task of one slice in order.
 
     Lives at module level so the payload pickles; per-worker warm state
-    (the scenario pool, packet free lists) persists across the shard's
-    tasks, which is the point of sharding.
+    (the scenario pool, packet free lists) persists across the slice's
+    tasks.
     """
     func, shard = payload
     tracer = get_tracer()
@@ -280,57 +223,87 @@ def _shard_worker(payload: Tuple[Callable, Tuple]) -> List[Any]:
         tracer.end(span)
 
 
-def run_sharded(
+def _slice_bounds(task_count: int, slices: int) -> List[Tuple[int, int]]:
+    """``slices`` contiguous near-even ``(start, stop)`` index ranges."""
+    base, extra = divmod(task_count, slices)
+    bounds: List[Tuple[int, int]] = []
+    start = 0
+    for index in range(slices):
+        stop = start + base + (1 if index < extra else 0)
+        bounds.append((start, stop))
+        start = stop
+    return bounds
+
+
+def map_trials(
     func: Callable[[Tuple], Any],
     tasks: Iterable[Tuple],
-    shards: Optional[int] = None,
     workers: Optional[int] = None,
     trials_per_task: Union[int, Sequence[int]] = 1,
 ) -> List[Any]:
-    """Partition ``tasks`` into contiguous shards, one worker unit each.
+    """Order-preserving (possibly parallel) map over trial work units.
 
-    Where :func:`map_trials` ships every task through the pool
-    individually (one pickled payload and one registry delta per task),
-    sharding ships ``shards`` payloads total: each worker receives a
-    contiguous slice of the task list, runs it serially with its warm
-    per-process scenario pool, and returns one result list plus one
-    merged telemetry delta.  Contiguity matters — task lists are grouped
-    by cell, so a shard's tasks hit the same pooled topologies.
+    ``func`` must be a module-level callable and every task tuple must be
+    picklable.  With one effective worker the map runs inline in this
+    process, which is byte-identical to the pre-engine serial loops.  The
+    effective worker count is clamped to the task count, so a 3-task map
+    never engages more than 3 workers.
 
-    Results come back in task order (shards are reassembled in slice
-    order) and the registry merge is order-independent, so the output is
-    identical to :func:`map_trials` for any shard or worker count.
-    ``shards`` defaults to the worker count.
+    Otherwise the task list is cut into ``effective ×
+    DEFAULT_CHUNKS_PER_WORKER`` contiguous slices (at most one per task).
+    Each slice is one pickled payload: a worker runs its tasks in order
+    under one ``shard`` span and returns their results plus the
+    metrics-registry delta the whole slice produced (see
+    :mod:`repro.telemetry.metrics`).  Contiguity matters — task lists are
+    grouped by cell, so a slice's tasks hit the same pooled topologies.
+    Results are reassembled in task order and the registry merge is
+    order-independent (counters and histogram buckets add), so the output
+    and the merged registry equal a serial run's for any worker count or
+    schedule.
+
+    A worker that dies (a crash, ``os._exit``) breaks the pool: the pool
+    is torn down, so the next call builds a fresh one, and a
+    :class:`RuntimeError` names the first slice that did not finish.
+
+    ``trials_per_task`` tells the parent how many paper-trials one work
+    unit performs — a single count shared by every task, or one entry per
+    task (fleet client groups differ in size) — keeping the trials/sec
+    accounting truthful when the actual counting happens inside worker
+    processes.
     """
     tasks = list(tasks)
-    requested = configured_workers(workers)
-    if shards is None:
-        shards = requested
-    shards = max(1, min(shards, len(tasks)))
-    if requested <= 1 or shards <= 1 or len(tasks) <= 1:
-        _note_execution(1, shards=1)
+    effective = min(configured_workers(workers), len(tasks))
+    _note_execution(max(1, effective))
+    if effective <= 1:
+        # Inline path: the trial functions themselves count trials and
+        # write the parent registry directly.
         return [func(task) for task in tasks]
-    _note_execution(min(requested, shards), shards=shards)
-    base, extra = divmod(len(tasks), shards)
-    slices: List[tuple] = []
-    start = 0
-    for index in range(shards):
-        size = base + (1 if index < extra else 0)
-        slices.append(tuple(tasks[start : start + size]))
-        start += size
-    pool = _get_pool(min(requested, shards))
+    bounds = _slice_bounds(
+        len(tasks), min(len(tasks), effective * DEFAULT_CHUNKS_PER_WORKER)
+    )
     trace_on = get_tracer().enabled
     flight_on = get_flight().enabled
     payloads = [
-        (_shard_worker, (func, shard), trace_on, flight_on)
-        for shard in slices
+        (_shard_worker, (func, tuple(tasks[start:stop])), trace_on, flight_on)
+        for start, stop in bounds
     ]
     registry = get_registry()
     results: List[Any] = []
-    for shard_results, delta in pool.map(
-        _run_task_with_snapshot, payloads, chunksize=1
-    ):
-        _merge_worker_delta(registry, delta)
-        results.extend(shard_results)
+    finished = 0
+    try:
+        for slice_results, delta in _get_pool(effective).map(
+            _run_task_with_snapshot, payloads
+        ):
+            _merge_worker_delta(registry, delta)
+            results.extend(slice_results)
+            finished += 1
+    except BrokenProcessPool as exc:
+        shutdown_pool()
+        start, stop = bounds[finished]
+        raise RuntimeError(
+            f"a trial worker process died: tasks {start}..{stop - 1} "
+            f"of {len(tasks)} did not finish"
+        ) from exc
+    # Worker-process counters are invisible here; mirror their work.
     note_trials(_mirrored_trials(trials_per_task, len(tasks)))
     return results

@@ -22,8 +22,8 @@ Knobs and rules:
 - :func:`clear` is the explicit invalidation path — call it after
   changing anything the key does not capture (e.g. monkeypatching
   simulator internals in a test);
-- cache lookups happen *before* the process-pool fan-out in the cell
-  runners, so fully-cached cells never spawn a worker, and results
+- the cell runners look each trial up once, *before* the process-pool
+  fan-out, so fully-cached cells never spawn a worker; the full records
   computed by workers are recorded in the parent so the next sweep is
   warm (worker-process caches die with the pool).
 
@@ -137,8 +137,13 @@ def lookup(key: str) -> Optional[Dict[str, Any]]:
 
 
 def record_outcome(key: str, outcome: str) -> None:
-    """Record an outcome-only result (the process-pool reduction keeps
-    nothing else).  Never downgrades an existing full record."""
+    """Record an outcome-only result.  Never downgrades an existing full
+    record.
+
+    No cell runner calls it: their work units return full records,
+    stored with :func:`record_trial`.  It stays because the benchmark's
+    traced ladder (``repobench/layers.py``) wraps it by name.
+    """
     if not enabled():
         return
     store = _get_store()

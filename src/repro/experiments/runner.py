@@ -33,7 +33,7 @@ from repro.apps.tor import TorClient
 from repro.apps.vpn import OpenVPNClient
 from repro.experiments import replay, result_cache
 from repro.experiments.calibration import Calibration, DEFAULT_CALIBRATION
-from repro.experiments.parallel import map_trials, note_trials, run_sharded
+from repro.experiments.parallel import map_trials, note_trials
 from repro.experiments.scenarios import (
     HONEST_DNS_ANSWER,
     Scenario,
@@ -198,9 +198,9 @@ _OUTCOME_COUNTERS = {
 }
 _BYTES_INSPECTED = _REGISTRY.histogram("trial.bytes_inspected")
 #: Wall-clock trial latency.  Registered unconditionally (so serial and
-#: sharded instrument sets match) but *observed* only while tracing is
-#: on — wall times are nondeterministic and would break the
-#: serial-vs-sharded telemetry identity the parity tests pin.
+#: pool-worker instrument sets match) but *observed* only while tracing
+#: is on — wall times are nondeterministic and would break the
+#: serial-vs-worker telemetry identity the parity tests pin.
 _TRIAL_WALL_SECONDS = _REGISTRY.histogram(
     "trial.wall_seconds",
     buckets=(0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.5),
@@ -480,15 +480,6 @@ class RateTriple:
         return self.distribution.wilson(z=z)
 
 
-def _http_outcome_worker(task: Tuple) -> Outcome:
-    """Process-pool work unit: one HTTP trial, reduced to its outcome."""
-    vantage, website, strategy_id, calibration, seed, keyword = task
-    record = run_http_trial(
-        vantage, website, strategy_id, calibration, seed=seed, keyword=keyword,
-    )
-    return record.outcome
-
-
 def _http_task_key(task: Tuple) -> str:
     vantage, website, strategy_id, calibration, seed, keyword = task
     return result_cache.trial_key(
@@ -496,26 +487,20 @@ def _http_task_key(task: Tuple) -> str:
     )
 
 
-def _dispatch_http_tasks(
-    tasks: List[Tuple], workers: Optional[int], shards: Optional[int] = None
-) -> List[Outcome]:
-    """Fan trial tasks out, one solo trial per task.
+def _http_record_worker(task: Tuple) -> TrialRecord:
+    """Process-pool work unit: one HTTP trial below the result cache.
 
-    ``shards`` (> 1) switches from per-task pool dispatch to the
-    persistent shard runner (one contiguous slice of tasks per worker,
-    one telemetry delta per shard).  Outcomes are identical either way.
+    :func:`run_http_outcomes` has already looked the task up and records
+    the returned record itself, so the trial consults no cache here.
     """
-    if shards is not None and shards > 1:
-        return run_sharded(
-            _http_outcome_worker, tasks, shards=shards, workers=workers
-        )
-    return map_trials(_http_outcome_worker, tasks, workers=workers)
+    note_trials()
+    _TRIALS_RUN.inc()
+    return _run_http_record(task)
 
 
 def run_http_outcomes(
     tasks: Sequence[Tuple],
     workers: Optional[int] = None,
-    shards: Optional[int] = None,
 ) -> List[Outcome]:
     """Run independent HTTP trials (serial or fanned out) in task order.
 
@@ -523,15 +508,16 @@ def run_http_outcomes(
     keyword)`` tuple; this is the engine entry point for benches that
     build their own seed formulas (the ablation sweeps).
 
-    Historical results are consulted here, *before* the process-pool
-    fan-out, so a fully-cached cell costs a few dict lookups and never
-    spawns a worker; outcomes computed by workers are recorded in this
-    (parent) process so the next sweep over the same cell is warm.
-
+    Historical results are consulted here, once per task and *before*
+    the process-pool fan-out, so a fully-cached cell costs a few dict
+    lookups and never spawns a worker; the full records computed by
+    workers are stored in this (parent) process so the next sweep over
+    the same cell is warm.
     """
     tasks = [tuple(t) for t in tasks]
     if not result_cache.enabled():
-        return _dispatch_http_tasks(tasks, workers, shards)
+        records = map_trials(_http_record_worker, tasks, workers=workers)
+        return [record.outcome for record in records]
     keys = [_http_task_key(task) for task in tasks]
     outcomes: List[Optional[Outcome]] = []
     for key in keys:
@@ -541,12 +527,15 @@ def run_http_outcomes(
     if len(pending) < len(tasks):
         note_trials(len(tasks) - len(pending))  # replayed, but still trials
     if pending:
-        fresh = _dispatch_http_tasks(
-            [tasks[index] for index in pending], workers, shards
+        records = map_trials(
+            _http_record_worker, [tasks[index] for index in pending],
+            workers=workers,
         )
-        for index, outcome in zip(pending, fresh):
-            outcomes[index] = outcome
-            result_cache.record_outcome(keys[index], outcome.value)
+        for index, record in zip(pending, records):
+            outcomes[index] = record.outcome
+            result_cache.record_trial(
+                keys[index], record.outcome.value, _http_record_payload(record)
+            )
     return outcomes  # type: ignore[return-value]
 
 
@@ -579,15 +568,13 @@ def run_strategy_cell(
     seed: int = 0,
     keyword: bool = True,
     workers: Optional[int] = None,
-    shards: Optional[int] = None,
 ) -> RateTriple:
     """One Table 1 cell: a strategy across vantage × site × repeats.
 
     Trials fan out over ``workers`` processes (default: the
     ``REPRO_WORKERS`` environment knob); the seeds are fixed before
     fan-out, so the resulting :class:`RateTriple` is identical for any
-    worker count.  ``shards`` (> 1) routes the fan-out through the
-    persistent shard runner instead of per-task dispatch.
+    worker count.
     """
     tasks = _cell_tasks(
         strategy_id, vantages, websites, calibration, repeats, seed, keyword
@@ -596,7 +583,7 @@ def run_strategy_cell(
         f"cell:{strategy_id}", "sweep",
         strategy=strategy_id, trials=len(tasks), keyword=keyword,
     ):
-        outcomes = run_http_outcomes(tasks, workers=workers, shards=shards)
+        outcomes = run_http_outcomes(tasks, workers=workers)
     return RateTriple.from_outcomes(outcomes)
 
 
@@ -691,7 +678,6 @@ def run_per_vantage(
     seed: int = 0,
     adaptive: bool = False,
     workers: Optional[int] = None,
-    shards: Optional[int] = None,
 ) -> PerVantageRates:
     """Per-vantage rates for one strategy, fanned out a vantage at a time."""
     websites = tuple(websites)
@@ -700,16 +686,10 @@ def run_per_vantage(
          calibration, repeats, seed, adaptive)
         for v_index, vantage in enumerate(vantages)
     ]
-    if shards is not None and shards > 1:
-        triples = run_sharded(
-            _vantage_row_worker, tasks, shards=shards, workers=workers,
-            trials_per_task=len(websites) * repeats,
-        )
-    else:
-        triples = map_trials(
-            _vantage_row_worker, tasks, workers=workers,
-            trials_per_task=len(websites) * repeats,
-        )
+    triples = map_trials(
+        _vantage_row_worker, tasks, workers=workers,
+        trials_per_task=len(websites) * repeats,
+    )
     result = PerVantageRates()
     for vantage, triple in zip(vantages, triples):
         result.rates[vantage.name] = triple
@@ -725,14 +705,12 @@ def run_table4_row(
     seed: int = 0,
     adaptive: bool = False,
     workers: Optional[int] = None,
-    shards: Optional[int] = None,
 ) -> PerVantageRates:
     """One Table 4 row; ``adaptive=True`` is the "INTANG Performance" row
     (the selector carries measurement history across repeats)."""
     return run_per_vantage(
         strategy_id, vantages, websites, calibration,
         repeats=repeats, seed=seed, adaptive=adaptive, workers=workers,
-        shards=shards,
     )
 
 
@@ -765,35 +743,26 @@ def _dns_task_key(
     )
 
 
-def run_dns_trial(
+def _dns_result_payload(result: DNSTrialResult) -> Dict:
+    """A JSON-representable image of a resolution (for the
+    historical-result cache)."""
+    return {
+        "answered": result.answered,
+        "answer": result.answer,
+        "poisoned": result.poisoned,
+    }
+
+
+def _simulate_dns_trial(
     vantage: VantagePoint,
     resolver: Resolver,
-    strategy_id: Optional[str] = "improved-tcb-teardown",
-    calibration: Calibration = DEFAULT_CALIBRATION,
-    seed: int = 0,
-    domain: str = "www.dropbox.com",
-    use_intang: bool = True,
+    strategy_id: Optional[str],
+    calibration: Calibration,
+    seed: int,
+    domain: str,
+    use_intang: bool,
 ) -> DNSTrialResult:
-    """Resolve a censored domain once, through INTANG's DNS forwarder.
-
-    Success is the paper's: the honest answer arrives (no poisoning, no
-    TCP reset).  Without INTANG the UDP query is poisoned in flight.
-    """
-    note_trials()
-    _TRIALS_RUN.inc()
-    cache_key: Optional[str] = None
-    if result_cache.enabled():
-        cache_key = _dns_task_key(
-            vantage, resolver, strategy_id, calibration, seed, domain, use_intang
-        )
-        hit = result_cache.lookup(cache_key)
-        if hit is not None and hit.get("record") is not None:
-            payload = hit["record"]
-            return DNSTrialResult(
-                answered=payload["answered"],
-                answer=payload["answer"],
-                poisoned=payload["poisoned"],
-            )
+    """One resolution below the result cache: acquire, run, classify."""
     # §7.2 measured two *specific* resolver routes: interference was
     # seen only from Tianjin, so the firewall is forced there and
     # forced absent elsewhere rather than drawn from the population.
@@ -826,30 +795,52 @@ def run_dns_trial(
     scenario.run()
     answered = bool(answers)
     answer = answers[0] if answers else None
-    result = DNSTrialResult(
+    return DNSTrialResult(
         answered=answered,
         answer=answer,
         poisoned=answered and answer != HONEST_DNS_ANSWER,
     )
+
+
+def run_dns_trial(
+    vantage: VantagePoint,
+    resolver: Resolver,
+    strategy_id: Optional[str] = "improved-tcb-teardown",
+    calibration: Calibration = DEFAULT_CALIBRATION,
+    seed: int = 0,
+    domain: str = "www.dropbox.com",
+    use_intang: bool = True,
+) -> DNSTrialResult:
+    """Resolve a censored domain once, through INTANG's DNS forwarder.
+
+    Success is the paper's: the honest answer arrives (no poisoning, no
+    TCP reset).  Without INTANG the UDP query is poisoned in flight.
+    """
+    note_trials()
+    _TRIALS_RUN.inc()
+    task = (vantage, resolver, strategy_id, calibration, seed, domain, use_intang)
+    cache_key: Optional[str] = None
+    if result_cache.enabled():
+        cache_key = _dns_task_key(*task)
+        hit = result_cache.lookup(cache_key)
+        if hit is not None and hit.get("record") is not None:
+            return DNSTrialResult(**hit["record"])
+    result = _simulate_dns_trial(*task)
     if cache_key is not None:
         result_cache.record_trial(
             cache_key,
             "success" if result.success else "failure",
-            {
-                "answered": result.answered,
-                "answer": result.answer,
-                "poisoned": result.poisoned,
-            },
+            _dns_result_payload(result),
         )
     return result
 
 
 def _dns_trial_worker(task: Tuple) -> DNSTrialResult:
-    vantage, resolver, strategy_id, calibration, seed, domain, use_intang = task
-    return run_dns_trial(
-        vantage, resolver, strategy_id, calibration,
-        seed=seed, domain=domain, use_intang=use_intang,
-    )
+    """Process-pool work unit: one resolution below the result cache
+    (:func:`run_dns_cell` looks it up and records it)."""
+    note_trials()
+    _TRIALS_RUN.inc()
+    return _simulate_dns_trial(*task)
 
 
 def run_dns_cell(
@@ -894,11 +885,7 @@ def run_dns_cell(
             result_cache.record_trial(
                 _dns_task_key(*task),
                 "success" if result.success else "failure",
-                {
-                    "answered": result.answered,
-                    "answer": result.answer,
-                    "poisoned": result.poisoned,
-                },
+                _dns_result_payload(result),
             )
             successes += 1 if result.success else 0
     return successes / queries

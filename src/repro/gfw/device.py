@@ -486,7 +486,7 @@ class GFWDevice(Tap):
         self.detections.append((now, detection))
         self._metric_dpi_match.inc()
         # Dyadic quantization (multiples of 2^-20 s): keeps the
-        # histogram's float sum bit-identical under any serial/sharded
+        # histogram's float sum bit-identical under any serial or
         # worker grouping (see the fleet latency observation).
         _METRIC_DPI_MATCH_LATENCY.observe(
             round(max(0.0, now - flow.created_at) * 1048576.0) / 1048576.0

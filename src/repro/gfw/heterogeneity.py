@@ -187,7 +187,7 @@ class RouteEnsemble:
 #: The process-wide ensemble consulted by ``resolve_route``.  Module
 #: state (not a scenario field) because the resolution must be reachable
 #: from pickled process-pool workers without widening every task tuple;
-#: the default is fixed so serial, pooled, and sharded runs agree.
+#: the default is fixed so serial and pooled runs agree.
 DEFAULT_ROUTE_ENSEMBLE = RouteEnsemble()
 _ACTIVE_ENSEMBLE: RouteEnsemble = DEFAULT_ROUTE_ENSEMBLE
 

@@ -14,7 +14,7 @@ Six layers, one import surface:
 - :mod:`repro.telemetry.trace` — the hierarchical
   :class:`~repro.telemetry.trace.SpanTracer` (sweep → shard → cell/wave
   → trial/flow → phase spans, wall + sim time, ``REPRO_TRACE`` knob)
-  whose drained trees merge across shards like registry deltas;
+  whose drained trees merge across processes like registry deltas;
 - :mod:`repro.telemetry.flight` — the anomaly
   :class:`~repro.telemetry.flight.FlightRecorder` (``REPRO_FLIGHT``
   knob): bounded event-ring + packet/TCB snapshot dumps emitted only

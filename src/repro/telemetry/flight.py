@@ -20,7 +20,7 @@ Recognized anomalies (the callers own the detection logic):
   paper-derived oracle;
 - ``broken`` — a conformance cell that produced error outcomes.
 
-Dumps are picklable and cross the ``run_sharded`` process boundary
+Dumps are picklable and cross the ``map_trials`` process boundary
 piggybacked on the telemetry delta (:meth:`FlightRecorder.drain` in the
 worker, :meth:`FlightRecorder.adopt` in the parent), exactly like
 registry diffs and span trees.  ``REPRO_FLIGHT=1`` enables recording

@@ -1,21 +1,21 @@
 """Causal span tracing: a hierarchical wall+sim-time span layer.
 
 A *span* is one timed unit of work — a conformance cell, a process
-shard, a fleet wave, one trial or fleet flow, or a phase
-inside a trial — carrying both wall-clock bounds (``wall_start`` /
-``wall_end``, ``time.perf_counter`` seconds) and simulation-time bounds
-(``sim_start`` / ``sim_end``, :class:`~repro.netsim.sim.SimClock`
-seconds).  Spans nest: a sweep span contains shard spans, a shard span
+shard (one pool worker's task slice), a fleet wave, one trial or fleet
+flow, or a phase inside a trial — carrying both wall-clock bounds
+(``wall_start`` / ``wall_end``, ``time.perf_counter`` seconds) and
+simulation-time bounds (``sim_start`` / ``sim_end``,
+:class:`~repro.netsim.sim.SimClock` seconds).  Spans nest: a sweep span contains shard spans, a shard span
 contains cell or wave spans, those contain trial or flow spans, and a
 trial span contains phase spans.
 
 The contract mirrors :class:`~repro.telemetry.metrics.MetricsRegistry`
 deltas exactly: span trees are plain nested dicts — picklable and
 JSON-representable — and :meth:`SpanTracer.drain` / :meth:`SpanTracer.merge`
-move finished trees across the ``run_sharded`` process boundary the same
+move finished trees across the ``map_trials`` process boundary the same
 way registry diffs do.  Merging is order-independent up to sibling
 order, and :func:`trial_semantic` reduces any tree to its
-execution-strategy-free content so serial and sharded runs can be
+execution-strategy-free content so serial and pooled runs can be
 compared for identity (the acceptance contract pinned in
 ``tests/test_obs.py``).
 
@@ -189,10 +189,10 @@ def trial_semantic(trees: Iterable[Dict[str, Any]]) -> List[Dict[str, Any]]:
 
     Strips wall-clock fields (worker-dependent), hoists the children of
     non-semantic kinds (shard wrappers differ between serial and
-    sharded runs), and sorts every sibling list into a canonical order
+    pooled runs), and sorts every sibling list into a canonical order
     (shards finish in arbitrary order).  Two runs of the same workload
     must reduce to equal lists whatever the execution strategy — the
-    span analogue of the registry's serial-vs-sharded byte identity.
+    span analogue of the registry's serial-vs-worker byte identity.
     """
     out: List[Dict[str, Any]] = []
     for tree in trees:

@@ -1,13 +1,14 @@
 """Tier-1 pins for the trial execution engine.
 
-Every HTTP trial runs alone on its own clock, and serial, worker and
-shard runs of the same trials must be observably identical; pooled
-scenarios and recycled packet shells must not leak state from one trial
-into the next.  The fleet's shared :class:`BatchSim` heap keeps its own
+Every HTTP trial runs alone on its own clock, and serial and worker
+runs of the same trials (any worker count, so any slice layout) must be
+observably identical; pooled scenarios and recycled packet shells must
+not leak state from one trial into the next.  The fleet's shared :class:`BatchSim` heap keeps its own
 per-trial ordering pins here, property-tested directly.
 """
 
 import dataclasses
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,7 @@ from repro.experiments import (
     run_strategy_cell,
 )
 from repro.experiments import scenarios
-from repro.experiments.parallel import run_sharded
+from repro.experiments.parallel import _slice_bounds
 from repro.experiments.runner import (
     _run_http_record,
     _simulate_http_trial,
@@ -50,6 +51,13 @@ def _square(task):
     return task * task
 
 
+def _exit_on_zero(task):
+    """Kill the pool worker that runs task 0, as a crash would."""
+    if task == 0:
+        os._exit(1)
+    return task * task
+
+
 def _trial_tasks(seeds=3):
     return [
         (vantage, site, strategy, DEFAULT_CALIBRATION, seed, True)
@@ -75,7 +83,7 @@ def _trial_semantic(delta):
 
     ``scenario.built/reused/evicted``, ``pool.*``, ``netsim.*``,
     ``result_cache.*`` and ``replay.*`` legitimately differ between
-    serial, sharded and replayed runs (they describe what the execution
+    serial, pooled and replayed runs (they describe what the execution
     engine did, not what the simulated trial did); everything else —
     GFW, DPI, TCP, trial outcome metrics — must not.
     """
@@ -90,7 +98,7 @@ def _trial_semantic(delta):
 
 
 class TestBatchParity:
-    """Serial, worker and shard execution are byte-identical."""
+    """Serial and worker execution are byte-identical."""
 
     @pytest.fixture(autouse=True)
     def _fresh_pools(self, monkeypatch):
@@ -119,7 +127,7 @@ class TestBatchParity:
         tasks = _trial_tasks(seeds=2)
         registry = get_registry()
         deltas = []
-        for kwargs in ({"workers": 1}, {"workers": 2}, {"workers": 2, "shards": 2}):
+        for kwargs in ({"workers": 1}, {"workers": 2}, {"workers": 4}):
             scenarios.clear_scenario_pool()
             before = registry.snapshot()
             run_http_outcomes(tasks, **kwargs)
@@ -142,7 +150,7 @@ class TestBatchParity:
 
         serial = cell(workers=1)
         assert cell(workers=2) == serial
-        assert cell(workers=2, shards=2) == serial
+        assert cell(workers=4) == serial
 
 
 class TestBatchSimOrdering:
@@ -230,7 +238,7 @@ class TestBatchSimOrdering:
 
 
 class TestMapTrialsEdgeCases:
-    """Chunk-size arithmetic at the degenerate ends of the task range."""
+    """Slice arithmetic at the degenerate ends of the task range."""
 
     def test_zero_tasks(self):
         assert map_trials(_square, [], workers=4) == []
@@ -242,14 +250,29 @@ class TestMapTrialsEdgeCases:
         # workers clamp to the task count; order is still preserved.
         assert map_trials(_square, [0, 1, 2], workers=4) == [0, 1, 4]
 
-    def test_run_sharded_matches_serial_map(self):
+    def test_task_count_not_a_multiple_of_slices(self):
+        # 11 tasks on 2 workers: 8 contiguous slices, 3 of them longer.
+        bounds = _slice_bounds(11, 8)
+        assert [stop - start for start, stop in bounds] == [2, 2, 2, 1, 1, 1, 1, 1]
+        assert [start for start, _ in bounds[1:]] == [stop for _, stop in bounds[:-1]]
         tasks = list(range(11))
         expected = [task * task for task in tasks]
-        assert run_sharded(_square, tasks, shards=3, workers=2) == expected
-        assert run_sharded(_square, tasks, shards=1, workers=2) == expected
+        assert map_trials(_square, tasks, workers=2) == expected
+        assert map_trials(_square, tasks, workers=3) == expected
 
-    def test_run_sharded_more_shards_than_tasks(self):
-        assert run_sharded(_square, [2, 3], shards=5, workers=2) == [4, 9]
+    def test_more_slices_than_tasks(self):
+        # 2 workers would take 8 slices; 3 tasks cap it at one each.
+        assert map_trials(_square, [2, 3, 5], workers=2) == [4, 9, 25]
+        assert map_trials(_square, [2, 3], workers=2) == [4, 9]
+
+    def test_dead_worker_does_not_poison_later_maps(self):
+        # 16 tasks on 2 workers: slice 0 holds tasks 0..1 and its worker
+        # dies, so no slice finishes before it.
+        with pytest.raises(RuntimeError, match=r"tasks 0\.\.1 of 16"):
+            map_trials(_exit_on_zero, range(16), workers=2)
+        assert map_trials(_square, range(8), workers=2) == [
+            task * task for task in range(8)
+        ]
 
 
 class TestScenarioPoolBounds:

@@ -2,10 +2,10 @@
 
 A fleet run is a pure function of its :class:`FleetSpec`: the same spec
 and seed must produce byte-identical merged results and trial-semantic
-telemetry whether the client groups run serially, across process
-shards, or as direct shared-device batch invocations — and the
+telemetry whether the client groups run serially, across worker
+processes, or as direct shared-device batch invocations — and the
 heavy-tailed site sampler must assign every flow its site independently
-of evaluation order (the property sharding relies on).
+of evaluation order (the property the process fan-out relies on).
 """
 
 import dataclasses
@@ -39,7 +39,7 @@ def _fleet_semantic(delta):
     """Strip execution-strategy counters from a telemetry delta.
 
     ``scenario.*`` and ``pool.*`` legitimately differ between serial
-    and sharded runs (worker pools start with cold scenario caches);
+    and worker runs (worker pools start with cold scenario caches);
     everything else — fleet outcome counters, eviction attribution,
     GFW/DPI/TCP accounting — must not.
     """
@@ -52,7 +52,7 @@ def _fleet_semantic(delta):
 
 
 class TestFleetParity:
-    """Serial, sharded, and direct group runs are byte-identical."""
+    """Serial, worker, and direct group runs are byte-identical."""
 
     @pytest.fixture(autouse=True)
     def _fresh_pools(self):
@@ -63,15 +63,15 @@ class TestFleetParity:
         clear_packet_pool()
 
     def test_serial_vs_sharded_results_identical(self):
-        serial = run_fleet(SPEC, shards=1)
+        serial = run_fleet(SPEC, workers=1)
         scenarios.clear_scenario_pool()
-        sharded = run_fleet(SPEC, shards=2, workers=2)
+        sharded = run_fleet(SPEC, workers=2)
         assert dataclasses.asdict(serial) == dataclasses.asdict(sharded)
 
     def test_serial_vs_direct_group_runs_identical(self):
         # The shared-device batch path invoked directly, group by group,
         # is the same computation run_fleet orchestrates.
-        serial = run_fleet(SPEC, shards=1)
+        serial = run_fleet(SPEC, workers=1)
         scenarios.clear_scenario_pool()
         direct = FleetResult.merge(
             SPEC, [run_fleet_group(SPEC, g) for g in range(SPEC.groups)]
@@ -88,12 +88,12 @@ class TestFleetParity:
         registry = get_registry()
 
         before = registry.snapshot()
-        run_fleet(SPEC, shards=1)
+        run_fleet(SPEC, workers=1)
         serial_delta = registry.diff(before)
 
         scenarios.clear_scenario_pool()
         before = registry.snapshot()
-        run_fleet(SPEC, shards=2, workers=2)
+        run_fleet(SPEC, workers=2)
         sharded_delta = registry.diff(before)
 
         scenarios.clear_scenario_pool()
@@ -108,8 +108,8 @@ class TestFleetParity:
     def test_same_spec_twice_identical(self):
         # Warm scenario pools and recycled packet shells from the first
         # run must not leak into the second.
-        first = run_fleet(SPEC, shards=1)
-        second = run_fleet(SPEC, shards=1)
+        first = run_fleet(SPEC, workers=1)
+        second = run_fleet(SPEC, workers=1)
         assert dataclasses.asdict(first) == dataclasses.asdict(second)
 
     def test_shared_state_is_actually_exercised(self):
@@ -117,7 +117,7 @@ class TestFleetParity:
         # trials: with capacity 24 under each group's ~40 accumulated
         # TCBs, the shared table must churn and the shared blacklist
         # must catch benign collateral.
-        result = run_fleet(SPEC, shards=1)
+        result = run_fleet(SPEC, workers=1)
         assert result.flows == SPEC.flows
         assert result.flow_events > 0
         assert result.flows_evicted > 0

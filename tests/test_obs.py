@@ -2,9 +2,9 @@
 
 Pins the PR-8 contracts:
 
-- serial vs ``shards=2`` conformance runs produce span forests with
-  identical trial-semantic content, and the sharded forest exports as
-  valid Chrome trace-event JSON;
+- serial vs ``workers=2`` vs ``workers=4`` conformance runs produce span
+  forests with identical trial-semantic content, and the pooled forest
+  (shard spans included) exports as valid Chrome trace-event JSON;
 - a fleet shape with exactly one induced eviction false negative
   produces exactly one flight-recorder dump whose event ring names the
   evicting LRU transition and the evicted flow's namespaced key;
@@ -90,11 +90,43 @@ def test_tracer_end_recovers_leaked_children():
 
 
 def test_tracer_merge_works_while_disabled():
-    """The parent of a sharded run may itself have tracing off; worker
+    """The parent of a pooled run may itself have tracing off; worker
     trees must still be collected (mirrors MetricsRegistry.merge)."""
     tracer = SpanTracer(enabled=False)
     tracer.merge([make_span("from-worker", "trial")])
     assert [t["name"] for t in tracer.roots] == ["from-worker"]
+
+
+def _traced_square(task):
+    """Module-level (picklable) pool task that records one trial span."""
+    with get_tracer().span(f"trial:{task}", "trial"):
+        return task * task
+
+
+def _span_names(trees, kind):
+    names = []
+    for tree in trees:
+        if tree["kind"] == kind:
+            names.append(tree["name"])
+        names.extend(_span_names(tree["children"], kind))
+    return names
+
+
+def test_pool_forked_inside_open_span_returns_worker_spans():
+    """A worker forked while the parent has a span open inherits that
+    open span; the worker's spans must still come back to the parent."""
+    from repro.experiments.parallel import map_trials, shutdown_pool
+
+    shutdown_pool()  # the map below forks its workers inside the sweep
+    tracer = trace_module.reset_tracer()
+    tracer.enabled = True
+    with tracer.span("sweep", "sweep"):
+        assert map_trials(_traced_square, range(4), workers=2) == [0, 1, 4, 9]
+    trees = tracer.drain()
+    assert sorted(_span_names(trees, "trial")) == [
+        f"trial:{task}" for task in range(4)
+    ]
+    assert len(_span_names(trees, "shard")) == 4
 
 
 def test_trial_semantic_strips_hoists_and_sorts():
@@ -111,10 +143,10 @@ def test_trial_semantic_strips_hoists_and_sorts():
     assert [c["name"] for c in cell["children"]] == ["trial:a", "trial:b"]
 
 
-# -- serial vs sharded span parity (acceptance) -------------------------
+# -- serial vs pooled span parity (acceptance) --------------------------
 
 
-def _run_traced_matrix(shards):
+def _run_traced_matrix(workers):
     from repro.conformance import default_cells, run_matrix
 
     cells = default_cells(
@@ -125,31 +157,33 @@ def _run_traced_matrix(shards):
     )
     tracer = trace_module.reset_tracer()
     tracer.enabled = True
-    results = run_matrix(cells, repeats=4, seed=11, shards=shards)
+    results = run_matrix(cells, repeats=4, seed=11, workers=workers)
     return results, tracer.drain()
 
 
 @pytest.mark.slow
 def test_span_forest_serial_vs_sharded_semantic_identity():
-    serial_results, serial_trees = _run_traced_matrix(shards=None)
-    sharded_results, sharded_trees = _run_traced_matrix(shards=2)
-    # The verdicts were already pinned identical by the conformance
-    # tests; the new contract is the span forests.
-    assert {k: r.as_payload() for k, r in serial_results.items()} == {
-        k: r.as_payload() for k, r in sharded_results.items()
-    }
+    serial_results, serial_trees = _run_traced_matrix(workers=1)
+    serial_payload = {k: r.as_payload() for k, r in serial_results.items()}
     serial_semantic = trial_semantic(serial_trees)
-    sharded_semantic = trial_semantic(sharded_trees)
-    assert serial_semantic == sharded_semantic
     assert serial_semantic  # non-vacuous: spans were actually recorded
     kinds = {node["kind"] for node in serial_semantic}
     assert "cell" in kinds
+    for workers in (2, 4):
+        sharded_results, sharded_trees = _run_traced_matrix(workers=workers)
+        # The verdicts were already pinned identical by the conformance
+        # tests; the new contract is the span forests.
+        assert serial_payload == {
+            k: r.as_payload() for k, r in sharded_results.items()
+        }
+        assert trial_semantic(sharded_trees) == serial_semantic
 
-    # The sharded forest must export as valid Chrome trace-event JSON.
+    # The pooled forest must export as valid Chrome trace-event JSON.
     document = chrome_trace(sharded_trees)
     text = json.dumps(document)
     parsed = json.loads(text)
     assert parsed["traceEvents"], "trace export produced no events"
+    assert any(e["name"].startswith("shard[") for e in parsed["traceEvents"])
     for event in parsed["traceEvents"]:
         assert event["ph"] == "X"
         assert {"name", "ts", "dur", "pid", "tid"} <= set(event)
@@ -174,7 +208,7 @@ def test_flight_recorder_single_eviction_false_negative_dump():
     enable_flight(True)
     try:
         get_flight().clear()
-        result = run_fleet(spec, shards=1)
+        result = run_fleet(spec, workers=1)
         dumps = get_flight().drain()
     finally:
         enable_flight(False)

@@ -3,17 +3,23 @@
 import pytest
 
 from repro.core.cache import FrontedStore, KeyValueStore
-from repro.experiments import result_cache
+from repro.experiments import DYN_RESOLVERS, result_cache
 from repro.experiments.calibration import DEFAULT_CALIBRATION
+from repro.experiments.parallel import trials_completed
 from repro.experiments.runner import (
     Outcome,
+    _cell_tasks,
+    _dns_task_key,
+    _http_task_key,
     make_persistent_selector,
+    run_dns_cell,
     run_http_outcomes,
     run_http_trial,
     run_strategy_cell,
 )
 from repro.experiments.vantage import CHINA_VANTAGE_POINTS
 from repro.experiments.websites import outside_china_catalog
+from repro.telemetry.metrics import get_registry
 
 VANTAGE = CHINA_VANTAGE_POINTS[0]
 SITES = outside_china_catalog(count=3)
@@ -156,6 +162,40 @@ class TestRunnerIntegration:
         assert mixed[:3] == half
         assert mixed == full
         assert all(isinstance(outcome, Outcome) for outcome in mixed)
+
+    def test_fresh_serial_cell_looks_each_trial_up_once(self):
+        # One lookup per trial, before the fan-out; the trial itself
+        # consults no cache, and the parent stores its full record.
+        registry = get_registry()
+        runs_before = registry.counter_value("trials.run")
+        completed_before = trials_completed()
+        triple = run_strategy_cell(
+            "tcb-teardown-rst/ttl", CHINA_VANTAGE_POINTS, SITES, workers=1
+        )
+        trials = len(CHINA_VANTAGE_POINTS) * len(SITES)
+        assert triple.trials == trials
+        stats = result_cache.stats()
+        assert (stats["misses"], stats["hits"], stats["entries"]) == (
+            trials, 0, trials,
+        )
+        assert registry.counter_value("trials.run") - runs_before == trials
+        assert trials_completed() - completed_before == trials
+        task = _cell_tasks(
+            "tcb-teardown-rst/ttl", CHINA_VANTAGE_POINTS, SITES,
+            DEFAULT_CALIBRATION, 1, 0, True,
+        )[0]
+        assert result_cache.lookup(_http_task_key(task))["record"] is not None
+
+    def test_fresh_serial_dns_cell_looks_each_query_up_once(self):
+        queries = 4
+        run_dns_cell(VANTAGE, DYN_RESOLVERS[0], queries, seed=5, workers=1)
+        stats = result_cache.stats()
+        assert (stats["misses"], stats["entries"]) == (queries, queries)
+        key = _dns_task_key(
+            VANTAGE, DYN_RESOLVERS[0], "improved-tcb-teardown",
+            DEFAULT_CALIBRATION, 5, "www.dropbox.com", True,
+        )
+        assert result_cache.lookup(key)["record"] is not None
 
     def test_dump_load_roundtrip_replays(self):
         record = run_http_trial(VANTAGE, SITES[1], "none", seed=9)
