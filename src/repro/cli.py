@@ -365,7 +365,10 @@ def _perf_profile(args: argparse.Namespace) -> int:
         vantage_by_name,
     )
     from repro.experiments import replay
+    from repro.experiments.parallel import collector_paused
     from repro.experiments.runner import _run_http_record, _simulate_http_trial
+    from repro.experiments.scenarios import retire_scenario
+    from repro.telemetry.metrics import get_registry
 
     vantage = vantage_by_name(args.vantage)
     website = outside_china_catalog()[args.site]
@@ -386,9 +389,11 @@ def _perf_profile(args: argparse.Namespace) -> int:
         replay.clear()
         for task in tasks:
             _run_http_record(task)
-    # Cycle-collector activity over the profiled loop: trial state is
-    # meant to be freed by reference counting alone, so any collection
-    # that finds objects names a lost acyclicity.
+    # Cycle-collector activity over the profiled loop, which runs under
+    # the same pause as a ``map_trials`` loop: trial state is meant to be
+    # freed by reference counting alone, so a collection inside the loop
+    # (the pause stands down while tracing) or objects found by the
+    # loop-end collection name a lost acyclicity.
     collector = {"runs": 0, "found": 0}
 
     def on_collect(phase: str, info: dict) -> None:
@@ -396,25 +401,32 @@ def _perf_profile(args: argparse.Namespace) -> int:
             collector["runs"] += 1
             collector["found"] += info["collected"]
 
+    registry = get_registry()
+    loop_garbage = registry.counter_value("gc.loop_garbage")
     profiler = cProfile.Profile()
     gc.collect()
-    gc.callbacks.append(on_collect)
-    try:
-        profiler.enable()
-        if args.exec_mode == "serial":
-            for _, _, _, _, seed, keyword in tasks:
-                _simulate_http_trial(
-                    vantage, website, args.strategy, DEFAULT_CALIBRATION,
-                    seed=seed, keyword=keyword,
-                )
-        else:
-            for task in tasks:
-                _run_http_record(task)
-        profiler.disable()
-        runs = collector["runs"]
-        gc.collect()  # what the loop left for a later automatic run
-    finally:
-        gc.callbacks.remove(on_collect)
+    with collector_paused():
+        gc.callbacks.append(on_collect)
+        try:
+            profiler.enable()
+            if args.exec_mode == "serial":
+                for _, _, _, _, seed, keyword in tasks:
+                    _record, scenario = _simulate_http_trial(
+                        vantage, website, args.strategy, DEFAULT_CALIBRATION,
+                        seed=seed, keyword=keyword,
+                    )
+                    retire_scenario(scenario)
+            else:
+                for task in tasks:
+                    _run_http_record(task)
+            profiler.disable()
+        finally:
+            gc.callbacks.remove(on_collect)
+    runs = collector["runs"]
+    found = (
+        collector["found"]
+        + registry.counter_value("gc.loop_garbage") - loop_garbage
+    )
     stats = pstats.Stats(profiler)
     if args.out:
         stats.dump_stats(args.out)
@@ -428,7 +440,7 @@ def _perf_profile(args: argparse.Namespace) -> int:
     )
     print(
         f"gc: {runs * 1000 / len(tasks):.1f} collections per 1000 trials, "
-        f"{collector['found'] / len(tasks):.1f} cyclic objects per trial"
+        f"{found / len(tasks):.1f} cyclic objects per trial"
     )
     if args.exec_mode == "replay":
         snapshot = replay.stats()

@@ -16,7 +16,11 @@ This module supplies the deterministic fan-out:
   reads through :func:`configured_workers`; ``0`` (or any non-positive
   value) means "all cores".
 - a session-wide trial counter that the bench harness samples to report
-  trials/sec into ``BENCH_perf.json``.
+  trials/sec into ``BENCH_perf.json``;
+- :func:`collector_paused` — every trial loop (the inline map and each
+  worker slice) runs with CPython's cycle collector off.  Trial state is
+  freed by reference counting alone, so the automatic collections a long
+  loop would trigger only rescan live state and find nothing.
 
 Determinism contract: trial seeds are computed *before* fan-out (see
 :func:`repro.experiments.runner.trial_seed`), each work unit derives all
@@ -27,17 +31,23 @@ fixed seeds the results are identical for any worker count.
 from __future__ import annotations
 
 import atexit
+import gc
 import os
+from contextlib import contextmanager
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 from repro.core.env import env_int
+from repro.telemetry.events import get_bus
 from repro.telemetry.flight import get_flight
 from repro.telemetry.metrics import get_registry
 from repro.telemetry.trace import get_tracer
 
 __all__ = [
+    "collector_paused",
     "configured_workers",
     "map_trials",
     "note_trials",
@@ -53,6 +63,12 @@ DEFAULT_CHUNKS_PER_WORKER = 4
 _pool: Optional[ProcessPoolExecutor] = None
 _pool_workers = 0
 _trials_completed = 0
+
+#: Cyclic objects the collection at the end of a paused trial loop found.
+#: Trial state is acyclic, so this reads 0; anything else names a trial
+#: path that builds reference cycles.  How many loops a process runs,
+#: and so what it finds, depends on its warm state: an engine counter.
+_LOOP_GARBAGE = get_registry().counter("gc.loop_garbage")
 
 
 def configured_workers(workers: Optional[int] = None) -> int:
@@ -92,7 +108,9 @@ def _get_pool(workers: int) -> ProcessPoolExecutor:
     global _pool, _pool_workers
     if _pool is None or _pool_workers < workers:
         shutdown_pool()
-        _pool = ProcessPoolExecutor(max_workers=workers)
+        # A pool first used inside a paused loop (a nested map) forks
+        # with the collector off; each worker switches it back on.
+        _pool = ProcessPoolExecutor(max_workers=workers, initializer=gc.enable)
         _pool_workers = workers
     return _pool
 
@@ -139,6 +157,34 @@ def trials_completed() -> int:
 def reset_trial_count() -> None:
     global _trials_completed
     _trials_completed = 0
+
+
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Run the enclosed trial loop with the cycle collector off.
+
+    Every finished trial is freed by reference counting
+    (``tests/test_gc_cycles.py`` pins it), so the collections a loop
+    triggers would only rescan live state, such as the leased scenarios
+    of a fleet wave, and find nothing.  A young-generation collection on
+    entry keeps garbage made before the loop out of the count; the one
+    on exit adds what the loop left to ``gc.loop_garbage``.
+
+    Does nothing when the collector is already off (a nested map, or a
+    caller that turned it off itself) or while the span tracer or the
+    event bus is on: those modes retain per-trial records and are not
+    pinned acyclic.
+    """
+    if not gc.isenabled() or get_tracer().enabled or get_bus().enabled:
+        yield
+        return
+    gc.collect(0)
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+        _LOOP_GARBAGE.inc(gc.collect(0))
 
 
 def _run_task_with_snapshot(
@@ -218,7 +264,8 @@ def _shard_worker(payload: Tuple[Callable, Tuple]) -> List[Any]:
     tracer = get_tracer()
     span = tracer.begin(f"shard[{len(shard)}]", "shard", tasks=len(shard))
     try:
-        return [func(task) for task in shard]
+        with collector_paused():
+            return [func(task) for task in shard]
     finally:
         tracer.end(span)
 
@@ -277,7 +324,8 @@ def map_trials(
     if effective <= 1:
         # Inline path: the trial functions themselves count trials and
         # write the parent registry directly.
-        return [func(task) for task in tasks]
+        with collector_paused():
+            return [func(task) for task in tasks]
     bounds = _slice_bounds(
         len(tasks), min(len(tasks), effective * DEFAULT_CHUNKS_PER_WORKER)
     )

@@ -61,7 +61,9 @@ _CONFLICTS = _REGISTRY.counter("replay.store_conflicts")
 #: counters, byte histograms) while the engine's own accounting (pool
 #: traffic, cache hits, replay counters themselves) keeps describing
 #: what the engine actually did this run.
-ENGINE_PREFIXES = ("scenario.", "pool.", "netsim.", "result_cache.", "replay.")
+ENGINE_PREFIXES = (
+    "scenario.", "pool.", "netsim.", "result_cache.", "replay.", "gc.",
+)
 
 
 def enabled() -> bool:

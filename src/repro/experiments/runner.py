@@ -38,6 +38,7 @@ from repro.experiments.scenarios import (
     HONEST_DNS_ANSWER,
     Scenario,
     acquire_scenario,
+    retire_scenario,
 )
 from repro.netstack.packet import recycle_packets
 from repro.experiments.vantage import VantagePoint
@@ -381,11 +382,12 @@ def _run_http_record(
     # scenario in the pool, so the sniffer's forged-reset packets are
     # dead: harvest them into the packet free lists unless a trace
     # retains them.  No release — a second one would alias the scenario
-    # on the free list.
+    # on the free list; a scenario the pool does not hold is retired.
     trace = scenario.trace
     if scenario.gfw_packets_at_client and (trace is None or not trace.enabled):
         recycle_packets(scenario.gfw_packets_at_client)
         scenario.gfw_packets_at_client.clear()
+    retire_scenario(scenario)
     return record
 
 
@@ -793,6 +795,7 @@ def _simulate_dns_trial(
     answers: List[str] = []
     client.resolve(domain, lambda message: answers.extend(message.answers))
     scenario.run()
+    retire_scenario(scenario)
     answered = bool(answers)
     answer = answers[0] if answers else None
     return DNSTrialResult(
@@ -944,12 +947,14 @@ def run_tor_trial(
     )
     second = client.open_circuit(bridge_site.ip)
     scenario.run(6.0)
-    return TorTrialResult(
+    result = TorTrialResult(
         first_circuit_ok=first.established and first.cells_relayed > 0,
         probe_launched=bool(probes),
         ip_blocked=blocked,
         reconnect_ok=second.established and second.cells_relayed > 0,
     )
+    retire_scenario(scenario)
+    return result
 
 
 def _tor_trial_worker(task: Tuple) -> TorTrialResult:
@@ -1006,11 +1011,13 @@ def run_vpn_trial(
     client = OpenVPNClient(scenario.client_tcp)
     session = client.open_session(vpn_site.ip)
     scenario.run(8.0)
-    return VPNTrialResult(
+    result = VPNTrialResult(
         established=session.established,
         frames_ok=session.payload_frames > 0,
         reset=session.reset or scenario.gfw_resets_received() > 0,
     )
+    retire_scenario(scenario)
+    return result
 
 
 def _vpn_trial_worker(task: Tuple) -> VPNTrialResult:

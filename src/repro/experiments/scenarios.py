@@ -6,11 +6,13 @@ the vantage's client-side middleboxes (Table 2) and a GFW installation
 whose composition (device generations, reassembly quirks, NB3 coin) is
 drawn from the :class:`~repro.experiments.calibration.Calibration`.
 
-Scenarios are cheap, disposable objects: the experiment runner builds a
-fresh one per trial, which both isolates trials (no 90-second blacklist
-bleed) and re-draws the per-installation behaviour coins — matching the
-paper's observation that GFW behaviour is consistent within a period but
-varies across periods.
+Every trial gets a topology of its own, which both isolates trials (no
+90-second blacklist bleed) and re-draws the per-installation behaviour
+coins — matching the paper's observation that GFW behaviour is
+consistent within a period but varies across periods.  The heavy objects
+are pooled per cell (:func:`acquire_scenario`): a reused scenario is
+reset in place and replays a fresh build's exact draws, so it behaves
+like a new one.
 """
 
 from __future__ import annotations
@@ -143,7 +145,11 @@ class Scenario:
         return build_scenario(seed=seed, reuse=self, **self._build_args)
 
     def dispose(self) -> None:
-        """Break this topology's reference cycles (pool eviction).
+        """Break this topology's reference cycles.
+
+        Called on a pool eviction (:func:`release_scenario`,
+        :func:`acquire_scenario`) and on a trial's own scenario once its
+        record is final (:func:`retire_scenario`).
 
         Hosts, stacks, paths and the network point at each other, and
         queued events and handlers point back into them.  Clearing the
@@ -574,10 +580,12 @@ def release_scenario(scenario: Scenario) -> None:
     Evicts least-recently-used entries (oldest key first) once the total
     pooled count exceeds ``REPRO_SCENARIO_POOL_MAX``; evictions are
     counted by the ``scenario.evicted`` telemetry counter, and each
-    evicted scenario is disposed.  Scenarios without a pool key (fresh
-    builds taken outside :func:`acquire_scenario`) are dropped silently.
+    evicted scenario is disposed.  A scenario without a pool key (a fresh
+    build: ``REPRO_SCENARIO_REUSE=0``, traced, or with no target) has no
+    free list to go back to and is disposed too.
     """
     if scenario._pool_key is None:
+        scenario.dispose()
         return
     for evicted in _park(scenario):
         evicted.dispose()
@@ -656,12 +664,27 @@ def acquire_scenario(
     if not lease:
         # Mirror the historical contract: the scenario sits in the pool
         # while its (strictly serial) trial runs on it.  The caller still
-        # holds it, so it is never disposed here, even when the bound
-        # evicts it at once (``REPRO_SCENARIO_POOL_MAX=0``).
+        # holds it, so it is never disposed here.  When the bound evicts
+        # it at once (``REPRO_SCENARIO_POOL_MAX=0``) it loses its key: the
+        # trial owns it outright and retires it (:func:`retire_scenario`).
         for evicted in _park(scenario):
-            if evicted is not scenario:
+            if evicted is scenario:
+                scenario._pool_key = None
+            else:
                 evicted.dispose()
     return scenario
+
+
+def retire_scenario(scenario: Scenario) -> None:
+    """End a (non-lease) trial's use of its scenario once its record is final.
+
+    A pooled scenario stays parked for the next trial of its cell.  One
+    the trial owns outright, a fresh build or one the pool bound evicted
+    as it was parked, is disposed, so reference counting frees it and
+    the cycle collector finds nothing.
+    """
+    if scenario._pool_key is None:
+        scenario.dispose()
 
 
 def clear_scenario_pool() -> None:

@@ -72,6 +72,11 @@ class TelemetryEvent:
         )
 
 
+#: Resolved at import, like ``flight.dumps``: whichever process builds a
+#: bus first, every registry lists the instrument.
+_DROPPED = get_registry().counter("telemetry.events_dropped")
+
+
 class EventBus:
     """A bounded, sequenced event ring shared by all publishers."""
 
@@ -93,9 +98,6 @@ class EventBus:
         #: the registry (``telemetry.events_dropped``), so snapshots and
         #: worker-merged deltas expose the silent loss.
         self.dropped = 0
-        self._metric_dropped = get_registry().counter(
-            "telemetry.events_dropped"
-        )
 
     def publish(
         self, component: str, kind: str, time: float = 0.0, **fields: Any
@@ -105,7 +107,7 @@ class EventBus:
             return None
         if len(self._ring) == self.capacity:
             self.dropped += 1
-            self._metric_dropped.inc()
+            _DROPPED.inc()
         event = TelemetryEvent(
             seq=self._next_seq, time=time, component=component, kind=kind,
             fields=fields,

@@ -98,6 +98,12 @@ def tcb_summary(flow: Any) -> Dict[str, Any]:
     }
 
 
+#: Resolved at import, not by the first recorder: a pool worker builds its
+#: recorder for every slice, and a serial parent may never build one, yet
+#: both registries must list the same instruments.
+_DUMPS = get_registry().counter("flight.dumps")
+
+
 class FlightRecorder:
     """Process-local dump collector (one per process, like the bus)."""
 
@@ -116,7 +122,6 @@ class FlightRecorder:
         self.enabled = bool(enabled)
         self.ring = int(ring)
         self.dumps: List[Dict[str, Any]] = []
-        self._metric_dumps = get_registry().counter("flight.dumps")
 
     def record(
         self,
@@ -139,7 +144,7 @@ class FlightRecorder:
             "snapshots": _plain(dict(snapshots or {})),
         }
         self.dumps.append(dump)
-        self._metric_dumps.inc()
+        _DUMPS.inc()
         return dump
 
     # -- worker-merge protocol ------------------------------------------

@@ -6,11 +6,16 @@ cycle collector disabled, and asserts that a full collection finds no
 unreachable objects.  A new back-edge on the trial path, such as a bound
 method stored on an object the owner holds or a handle that points back
 at its timer's owner, makes a pin fail and names the types it leaked.
+
+That is what lets ``map_trials`` pause the collector for the length of
+each trial loop; the pause itself is pinned at the end of this file.
 """
 
 import collections
 import gc
 import weakref
+
+import pytest
 
 from repro.core.intang import INTANG
 from repro.experiments import (
@@ -23,12 +28,17 @@ from repro.experiments import (
     run_table4_row,
     vantage_by_name,
 )
-from repro.experiments import scenarios
-from repro.experiments.runner import SENSITIVE_PATH, run_dns_trial
+from repro.experiments import parallel, scenarios
+from repro.experiments.parallel import map_trials, shutdown_pool
+from repro.experiments.runner import (
+    SENSITIVE_PATH, run_dns_trial, run_tor_trial, run_vpn_trial,
+)
 from repro.experiments.websites import DYN_RESOLVERS
 from repro.apps.http import HTTPClient
 from repro.strategies.registry import TABLE1_ROWS
 from repro.telemetry import get_registry
+from repro.telemetry.events import capturing
+from repro.telemetry.trace import tracing
 
 SITES = outside_china_catalog()[:2]
 
@@ -62,8 +72,34 @@ def _table1_cells(seed):
         )
 
 
+def _small_fleet(seed):
+    run_fleet(FleetSpec(flows=48, seed=seed, groups=1, window=16, sites=12))
+
+
 def test_table1_cells_leave_no_cyclic_garbage():
     assert_acyclic(_table1_cells)
+
+
+@pytest.mark.parametrize(
+    "knob", ["REPRO_SCENARIO_REUSE", "REPRO_SCENARIO_POOL_MAX"],
+)
+def test_unpooled_trials_leave_no_cyclic_garbage(monkeypatch, knob):
+    """A scenario the pool does not hold, a fresh build or one the bound
+    evicts as it is parked, is disposed by its own trial; a leased one by
+    its fleet flow's release."""
+    monkeypatch.setenv(knob, "0")
+    scenarios.clear_scenario_pool()
+    vantage = vantage_by_name("aliyun-shanghai")
+
+    def run(seed):
+        _table1_cells(seed)
+        _small_fleet(seed)
+        run_dns_trial(vantage, DYN_RESOLVERS[0], calibration=CLEAN_ROOM, seed=seed)
+        run_tor_trial(vantage, SITES[0], "improved-tcb-teardown", seed=seed)
+        run_vpn_trial(vantage, SITES[1], "improved-tcb-teardown", seed=seed)
+
+    assert_acyclic(run)
+    assert scenarios.scenario_pool_size() == 0
 
 
 def test_adaptive_table4_row_leaves_no_cyclic_garbage():
@@ -163,3 +199,72 @@ def test_perf_profile_reports_collector_activity(capsys):
     lines = capsys.readouterr().out.splitlines()
     gc_line = next(line for line in lines if line.startswith("gc: "))
     assert gc_line.endswith(", 0.0 cyclic objects per trial")
+
+
+# -- the collector pause around map_trials loops ------------------------
+def _collector_on(_task):
+    """Module level, so a pool worker can unpickle it."""
+    return gc.isenabled()
+
+
+def _raise(_task):
+    raise KeyError("boom")
+
+
+def test_inline_map_pauses_the_collector():
+    assert gc.isenabled()
+    assert map_trials(_collector_on, [(1,), (2,)], workers=1) == [False, False]
+    assert gc.isenabled()
+
+
+def test_collector_restored_when_a_task_raises():
+    with pytest.raises(KeyError):
+        map_trials(_raise, [(1,)], workers=1)
+    assert gc.isenabled()
+
+
+def test_collector_left_off_when_the_caller_turned_it_off():
+    gc.disable()
+    try:
+        assert map_trials(_collector_on, [(1,)], workers=1) == [False]
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_collector_stays_on_while_tracing_or_capturing():
+    with tracing():
+        assert map_trials(_collector_on, [(1,)], workers=1) == [True]
+    with capturing():
+        assert map_trials(_collector_on, [(1,)], workers=1) == [True]
+
+
+def test_worker_slices_pause_the_collector():
+    try:
+        results = map_trials(_collector_on, [(n,) for n in range(4)], workers=2)
+    finally:
+        shutdown_pool()
+    assert results == [False] * 4
+    assert gc.isenabled()
+
+
+def test_pool_workers_start_with_the_collector_on():
+    """A pool forked inside a paused loop must not inherit the pause."""
+    shutdown_pool()
+    gc.disable()
+    try:
+        assert parallel._get_pool(2).submit(gc.isenabled).result(timeout=60)
+    finally:
+        gc.enable()
+        shutdown_pool()
+
+
+def test_paused_loops_find_no_garbage():
+    """The loop-end collections of warm Table-1 cells and a warm fleet run
+    find nothing: the pause leaves no work for them."""
+    loop_garbage = get_registry().counter("gc.loop_garbage")
+    for workload in (_table1_cells, _small_fleet):
+        workload(1)  # warm-up
+        before = loop_garbage.value
+        workload(2)
+        assert loop_garbage.value == before
