@@ -91,6 +91,7 @@ def _table1_slice(reuse: bool) -> float:
     """Trials/second over a Table-1-shaped slice, serially."""
     from repro.experiments import scenarios
     from repro.experiments.runner import _simulate_http_trial
+    from repro.experiments.scenarios import retire_scenario
     from repro.experiments.vantage import CHINA_VANTAGE_POINTS
     from repro.experiments.websites import outside_china_catalog
 
@@ -105,7 +106,10 @@ def _table1_slice(reuse: bool) -> float:
         for vantage in vantages:
             for site in sites:
                 for seed in range(TRIAL_SEEDS):
-                    _simulate_http_trial(vantage, site, strategy, seed=seed)
+                    _record, scenario = _simulate_http_trial(
+                        vantage, site, strategy, seed=seed
+                    )
+                    retire_scenario(scenario)
                     trials += 1
     elapsed = time.perf_counter() - start
     scenarios.clear_scenario_pool()

@@ -20,13 +20,18 @@ round and then ``--rounds`` measured ones.
 
 Per arm it prints the median and range of trials/s, the peak RSS, and
 for each collector generation the number of collections, their share of
-wall time and the objects they found.  ``loop`` is what the collection
-at the end of each paused ``map_trials`` loop found (``gc.loop_garbage``).
+wall time and the objects they found.  ``loop garbage`` is what the
+collection at the end of each paused ``map_trials`` loop found
+(``gc.loop_garbage``); ``young at loop end`` is the median and maximum
+number of young (generation-0) objects alive just before that
+collection, ``len(gc.get_objects(0))``: the live state the collection
+has to scan, such as the scenarios a loop parked in the pool.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import json
 import os
@@ -50,8 +55,22 @@ def child(workload_name: str, seed: int, rounds: int) -> dict:
     """One arm's interpreter: warm up, then time ``rounds`` rounds."""
     sys.path.insert(0, os.path.join(ROOT, "repobench"))
     from workloads import WORKLOADS
+    from repro.experiments import parallel
     from repro.telemetry.metrics import get_registry
 
+    young = []
+    paused = parallel.collector_paused
+
+    @contextlib.contextmanager
+    def counting_young():
+        with paused():
+            try:
+                yield
+            finally:
+                if not gc.isenabled():  # the pause engaged: count, then
+                    young.append(len(gc.get_objects(0)))  # it collects
+
+    parallel.collector_paused = counting_young
     workload = WORKLOADS[workload_name](seed)
     workload.run_round(0)
     per_gen = [{"runs": 0, "seconds": 0.0, "found": 0} for _ in range(3)]
@@ -69,6 +88,7 @@ def child(workload_name: str, seed: int, rounds: int) -> dict:
     registry = get_registry()
     loop_before = registry.counter_value("gc.loop_garbage")
     trials = 0
+    young.clear()
     gc.callbacks.append(on_collect)
     wall_start = time.perf_counter()
     for k in range(1, rounds + 1):
@@ -81,6 +101,7 @@ def child(workload_name: str, seed: int, rounds: int) -> dict:
         "peak_rss_mb": peak_rss_mb(),
         "generations": per_gen,
         "loop_garbage": registry.counter_value("gc.loop_garbage") - loop_before,
+        "young_at_loop_end": young,
     }
 
 
@@ -112,11 +133,14 @@ def run_arm(arm: dict, args: argparse.Namespace) -> dict:
 def report(arm: dict, runs: list) -> None:
     rates = sorted(r["trials"] / r["wall_s"] for r in runs)
     wall = sum(r["wall_s"] for r in runs)
+    young = [n for r in runs for n in r["young_at_loop_end"]] or [0]
     print(
         f"{arm['name']}: trials/s median {statistics.median(rates):.0f} "
         f"(range {rates[0]:.0f}-{rates[-1]:.0f}, {len(runs)} runs), "
         f"peak RSS {max(r['peak_rss_mb'] for r in runs):.1f} MB, "
-        f"loop garbage {sum(r['loop_garbage'] for r in runs)}"
+        f"loop garbage {sum(r['loop_garbage'] for r in runs)}, "
+        f"young at loop end median {statistics.median(young):.0f} "
+        f"(max {max(young)})"
     )
     for generation in range(3):
         stats = [r["generations"][generation] for r in runs]

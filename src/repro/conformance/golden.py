@@ -79,6 +79,7 @@ def ladder_filename(cell: ConformanceCell) -> str:
 def capture_ladder(cell: ConformanceCell, seed: int = DEFAULT_SEED) -> str:
     """One traced run of a cell, rendered as a self-describing ladder."""
     from repro.experiments.runner import _simulate_http_trial
+    from repro.experiments.scenarios import retire_scenario
 
     record, scenario = _simulate_http_trial(
         profile_vantage(cell.profile),
@@ -96,7 +97,9 @@ def capture_ladder(cell: ConformanceCell, seed: int = DEFAULT_SEED) -> str:
         f"# seed: {seed}",
         f"# outcome: {record.outcome.value}",
     ]
-    return "\n".join(header) + "\n" + scenario.trace.format_ladder() + "\n"
+    ladder = scenario.trace.format_ladder()
+    retire_scenario(scenario)
+    return "\n".join(header) + "\n" + ladder + "\n"
 
 
 def load_verdicts(directory: Optional[Path] = None) -> Optional[Dict]:

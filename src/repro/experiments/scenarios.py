@@ -10,9 +10,9 @@ Every trial gets a topology of its own, which both isolates trials (no
 90-second blacklist bleed) and re-draws the per-installation behaviour
 coins — matching the paper's observation that GFW behaviour is
 consistent within a period but varies across periods.  The heavy objects
-are pooled per cell (:func:`acquire_scenario`): a reused scenario is
-reset in place and replays a fresh build's exact draws, so it behaves
-like a new one.
+are pooled per cell (:func:`acquire_scenario`): a trial's end clears its
+scenario back to a clean shell, and a reused shell replays a fresh
+build's exact draws, so it behaves like a new one.
 """
 
 from __future__ import annotations
@@ -70,7 +70,8 @@ class Scenario:
 
     clock: SimClock
     network: Network
-    rng: random.Random
+    #: The trial's root stream; ``None`` once :meth:`clear` has run.
+    rng: Optional[random.Random]
     vantage: VantagePoint
     calibration: Calibration
     path: Path
@@ -79,7 +80,8 @@ class Scenario:
     client_tcp: TCPHost
     server_tcp: TCPHost
     gfw_devices: List[GFWDevice]
-    cluster: GFWCluster
+    #: ``None`` once :meth:`clear` has dropped the trial.
+    cluster: Optional[GFWCluster]
     website: Optional[Website] = None
     resolver: Optional[Resolver] = None
     trace: Optional[TraceRecorder] = None
@@ -96,6 +98,9 @@ class Scenario:
     #: Free-list key when this scenario came from :func:`acquire_scenario`;
     #: :func:`release_scenario` uses it to return the scenario to its cell.
     _pool_key: Optional[tuple] = None
+    #: True once :meth:`clear` has dropped the trial: a clean shell that
+    #: :func:`build_scenario` can re-arm.
+    _shell: bool = False
 
     def run(self, duration: Optional[float] = None) -> None:
         self.clock.run_for(duration or self.calibration.trial_duration)
@@ -134,7 +139,7 @@ class Scenario:
         pieces (clock, network, hosts, path, TCP stacks) in place.
 
         Returns a fresh :class:`Scenario` wrapper.  The rebuild replays
-        :func:`build_scenario`'s exact RNG draw sequence against reset
+        :func:`build_scenario`'s exact RNG draw sequence against cleared
         objects, so results are byte-identical to a from-scratch build
         with the same arguments and seed.
         """
@@ -144,36 +149,56 @@ class Scenario:
             )
         return build_scenario(seed=seed, reuse=self, **self._build_args)
 
-    def dispose(self) -> None:
-        """Break this topology's reference cycles.
+    def clear(self) -> None:
+        """Drop the finished trial, leaving a clean shell.
 
-        Called on a pool eviction (:func:`release_scenario`,
-        :func:`acquire_scenario`) and on a trial's own scenario once its
-        record is final (:func:`retire_scenario`).
+        The one reset routine.  It runs when a trial ends
+        (:func:`retire_scenario`, :func:`release_scenario`), so a parked
+        scenario holds no trial, and again, at next to no cost, when
+        :func:`build_scenario` re-arms the shell.
 
         Hosts, stacks, paths and the network point at each other, and
         queued events and handlers point back into them.  Clearing the
-        clock queue, the handlers, the connections, the path elements and
-        the network's tables leaves every object freeable by reference
-        counting alone.  The scenario is unusable afterwards, so only a
-        scenario no caller still holds may be disposed.
+        clock queue and the trace, the TCP connections, listeners and
+        drops, the host handlers and egress filters, the path elements,
+        the UDP sockets, the RNG streams, and this wrapper's devices,
+        cluster and apps leaves the shell (clock, recorder, network,
+        hosts, path, stacks) pointing only at itself, and every object
+        of the trial freeable by reference counting alone.
         """
+        if self._shell:
+            return
+        self._shell = True
         self.clock.reset()
+        if self.trace is not None:
+            self.trace.reset()
+        self.network.undeliverable = 0
         for tcp_host in (self.client_tcp, self.server_tcp):
-            tcp_host.reset()  # connections, RTO handles and listeners
+            tcp_host.clear()  # connections, RTO handles and listeners
         for host in (self.client, self.server):
-            host.reset()  # handlers, including the ones re-registered above
-        self._close_udp()
-        self.path.clear_elements()
-        self.network.clear()
-        self.gfw_packets_at_client.clear()
-
-    def _close_udp(self) -> None:
-        """Unbind the per-trial UDP sockets (their resolver and client
-        apps point back at them)."""
+            host.reset()  # handlers and egress filters
         for udp in (self.udp_client, self.udp_server):
             if udp is not None:
-                udp.close()
+                udp.close()  # the resolver and client apps point back
+        self.path.clear_elements()
+        self.gfw_packets_at_client.clear()
+        self.rng = self.network.rng = None  # build_scenario spawns new ones
+        self.gfw_devices.clear()
+        self.cluster = None
+        self.http_server = self.tor_bridge = self.vpn_server = None
+        self.udp_client = self.udp_server = None
+
+    def dispose(self) -> None:
+        """:meth:`clear`, then detach the hosts and path from the network.
+
+        Called on a pool eviction, on :func:`clear_scenario_pool` and on
+        a trial's own scenario once its record is final
+        (:func:`retire_scenario`, :func:`release_scenario`).  The
+        scenario is unusable afterwards, so only a scenario no caller
+        still holds may be disposed.
+        """
+        self.clear()
+        self.network.clear()
 
     def gfw_detections(self) -> int:
         return sum(len(device.detections) for device in self.gfw_devices)
@@ -304,12 +329,14 @@ def build_scenario(
     pure function of (strategy, variant, profile, fault point, seed).
 
     ``reuse`` hands back a previous scenario for the same endpoints whose
-    heavy objects (clock, network, hosts, path, TCP stacks) are reset and
-    re-wired in place rather than reallocated.  Both code paths share the
-    same draw sequence from ``Random(seed)``, so fresh and reused builds
-    are indistinguishable trial-for-trial; everything behavioural
-    (middleboxes, firewall, GFW devices, workload apps) is still rebuilt
-    per trial, preserving the trial-isolation contract above.
+    shell (clock, network, hosts, path, TCP stacks) is re-armed in place
+    rather than reallocated.  A pooled scenario arrives as a clean shell;
+    any other is cleared first (:meth:`Scenario.clear`).  Both code paths
+    share the same draw sequence from ``Random(seed)``, so fresh and
+    reused builds are indistinguishable trial-for-trial; everything
+    behavioural (middleboxes, firewall, GFW devices, workload apps) is
+    still rebuilt per trial, preserving the trial-isolation contract
+    above.
     """
     rng = ledger_root(seed)
     if reuse is None:
@@ -317,13 +344,12 @@ def build_scenario(
         recorder = TraceRecorder(enabled=trace)
         network = Network(clock=clock, rng=rng.spawn(), trace=recorder)
     else:
+        reuse.clear()  # a no-op on a parked shell
         clock = reuse.clock
-        clock.reset()
         recorder = reuse.trace
-        recorder.reset(enabled=trace)
+        recorder.enabled = trace
         network = reuse.network
         network.rng = rng.spawn()
-        network.undeliverable = 0
 
     if workload == "dns":
         if resolver is None:
@@ -360,11 +386,7 @@ def build_scenario(
             )
         client = reuse.client
         server = reuse.server
-        client.reset()
-        server.reset()
-        reuse._close_udp()
         path = reuse.path
-        path.clear_elements()
         path.reconfigure(
             hop_count, base_delay, _draw_loss_rate(rng, calibration),
             jitter=calibration.path_jitter,
@@ -458,9 +480,9 @@ def build_scenario(
         )
     else:
         client_tcp = reuse.client_tcp
-        client_tcp.reset(profile=client_profile, rng=rng.spawn(opaque=True))
+        client_tcp.rearm(client_profile, rng.spawn(opaque=True))
         server_tcp = reuse.server_tcp
-        server_tcp.reset(profile=server_profile, rng=rng.spawn(opaque=True))
+        server_tcp.rearm(server_profile, rng.spawn(opaque=True))
 
     scenario = Scenario(
         clock=clock,
@@ -575,18 +597,22 @@ def _park(scenario: Scenario) -> List[Scenario]:
 
 
 def release_scenario(scenario: Scenario) -> None:
-    """Return an idle scenario to its cell's free list.
+    """Return a leased scenario to its cell's free list once its flow's
+    record is final (the fleet's batch has already let go of its clock).
 
-    Evicts least-recently-used entries (oldest key first) once the total
-    pooled count exceeds ``REPRO_SCENARIO_POOL_MAX``; evictions are
-    counted by the ``scenario.evicted`` telemetry counter, and each
-    evicted scenario is disposed.  A scenario without a pool key (a fresh
-    build: ``REPRO_SCENARIO_REUSE=0``, traced, or with no target) has no
-    free list to go back to and is disposed too.
+    The scenario is cleared first (:meth:`Scenario.clear`), so it parks
+    as a clean shell.  Evicts least-recently-used entries (oldest key
+    first) once the total pooled count exceeds
+    ``REPRO_SCENARIO_POOL_MAX``; evictions are counted by the
+    ``scenario.evicted`` telemetry counter, and each evicted scenario is
+    disposed.  A scenario without a pool key (a fresh build:
+    ``REPRO_SCENARIO_REUSE=0``, traced, or with no target) has no free
+    list to go back to and is disposed too.
     """
     if scenario._pool_key is None:
         scenario.dispose()
         return
+    scenario.clear()
     for evicted in _park(scenario):
         evicted.dispose()
 
@@ -614,11 +640,16 @@ def acquire_scenario(
     ``REPRO_SCENARIO_REUSE`` knob is off.  The pool is per-process, so
     parallel sweeps (``REPRO_WORKERS``) reuse within each worker.
 
-    By default the scenario is returned to the free list immediately (a
-    serial trial finishes with it before the next acquire can pop it).
+    By default the scenario goes back on the free list at once, and the
+    trial that runs on it calls :func:`retire_scenario` when its record
+    is final; that clears it, so the pool holds a clean shell (a serial
+    trial finishes with it before the next acquire can pop it).
     ``lease=True`` keeps it checked out — a fleet wave leases a whole
     window of scenarios at once and hands each back via
-    :func:`release_scenario` when its flow is finalized.
+    :func:`release_scenario` when its flow is finalized.  A pooled
+    scenario whose trial never retired it (one that raised, or a caller
+    that keeps the finished scenario) is cleared when it is next
+    acquired.
     """
     target = resolver if workload == "dns" else website
     if trace or target is None or not env_flag("REPRO_SCENARIO_REUSE", True):
@@ -662,11 +693,12 @@ def acquire_scenario(
     )
     scenario._pool_key = key
     if not lease:
-        # Mirror the historical contract: the scenario sits in the pool
-        # while its (strictly serial) trial runs on it.  The caller still
-        # holds it, so it is never disposed here.  When the bound evicts
-        # it at once (``REPRO_SCENARIO_POOL_MAX=0``) it loses its key: the
-        # trial owns it outright and retires it (:func:`retire_scenario`).
+        # The scenario is parked while its (strictly serial) trial runs
+        # on it, and :func:`retire_scenario` clears it once the record is
+        # final.  The caller still holds it, so it is never disposed
+        # here.  When the bound evicts it at once
+        # (``REPRO_SCENARIO_POOL_MAX=0``) it loses its key: the trial owns
+        # it outright and retires it.
         for evicted in _park(scenario):
             if evicted is scenario:
                 scenario._pool_key = None
@@ -678,13 +710,16 @@ def acquire_scenario(
 def retire_scenario(scenario: Scenario) -> None:
     """End a (non-lease) trial's use of its scenario once its record is final.
 
-    A pooled scenario stays parked for the next trial of its cell.  One
-    the trial owns outright, a fresh build or one the pool bound evicted
-    as it was parked, is disposed, so reference counting frees it and
-    the cycle collector finds nothing.
+    A pooled scenario is cleared (:meth:`Scenario.clear`) and stays
+    parked, a clean shell, for the next trial of its cell.  One the
+    trial owns outright, a fresh build or one the pool bound evicted as
+    it was parked, is disposed.  Either way reference counting frees the
+    trial and the cycle collector finds nothing.
     """
     if scenario._pool_key is None:
         scenario.dispose()
+    else:
+        scenario.clear()
 
 
 def clear_scenario_pool() -> None:

@@ -100,7 +100,7 @@ class Host(Endpoint):
         """
         self._handlers.clear()
         self._egress_filters.clear()
-        self._reassembler = FragmentReassembler(policy=self._reassembler.policy)
+        self._reassembler.clear()
         self.unclaimed_packets = 0
 
     # -- send ---------------------------------------------------------------

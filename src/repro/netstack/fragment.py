@@ -143,6 +143,10 @@ class FragmentReassembler:
         packet = self._try_complete(key, buffer)
         return packet
 
+    def clear(self) -> None:
+        """Drop every incomplete fragment buffer; the policy stays."""
+        self._buffers.clear()
+
     def pending_count(self) -> int:
         """Number of flows with incomplete fragment buffers."""
         return len(self._buffers)

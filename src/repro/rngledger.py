@@ -61,6 +61,7 @@ underlying rejection sampling consumes a seed-dependent number of
 
 from __future__ import annotations
 
+import _random
 import random
 from typing import List, Optional, Sequence, Tuple
 
@@ -80,6 +81,8 @@ __all__ = [
 #: by the recording subclasses' leaf overrides.
 _RAW_RANDOM = random.Random.random
 _RAW_GETRANDBITS = random.Random.getrandbits
+#: The C Mersenne Twister seeding under ``random.Random.seed``.
+_C_SEED = _random.Random.seed
 
 
 def _spawn_seed(rng: random.Random) -> int:
@@ -172,7 +175,13 @@ class TrialRandom(random.Random):
     """
 
     def __init__(self, x=None) -> None:
-        random.Random.__init__(self, x)
+        if type(x) is int:
+            # What ``Random.seed`` does for an int, without its Python
+            # wrapper: the C seed, then a cleared Gaussian cache.
+            _C_SEED(self, x)
+            self.gauss_next = None
+        else:
+            random.Random.__init__(self, x)
         self._ledger: Optional[RngLedger] = None
         self._stream = -1
         self._opaque = False

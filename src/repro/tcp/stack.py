@@ -628,20 +628,13 @@ class TCPHost:
         self._ephemeral_port = 32768
         host.register_handler(self._on_packet)
 
-    def reset(
-        self,
-        profile: Optional[StackProfile] = None,
-        rng: Optional[random.Random] = None,
-    ) -> None:
-        """Restore pristine state in place (scenario reuse between trials).
+    def clear(self) -> None:
+        """Drop every connection, listener and drop record in place, and
+        the ISN stream (the end of a pooled scenario's trial).
 
-        The owning :class:`Host` must have been reset first (dropping the
-        old packet handler); this re-registers ``_on_packet`` so handler
-        order matches a freshly constructed stack.
+        The owning :class:`Host` clears its own handler list, this
+        stack's ``_on_packet`` included; :meth:`rearm` puts it back.
         """
-        if profile is not None:
-            self.profile = profile
-        self.rng = rng or random.Random(zlib.crc32(self.host.ip.encode()))
         # An armed RTO handle and its connection point at each other; the
         # reset clock no longer holds the handle, so drop it here.
         for connection in self.connections.values():
@@ -651,6 +644,17 @@ class TCPHost:
         self.drops.clear()
         self.stray_rsts_sent = 0
         self._ephemeral_port = 32768
+        self.rng = None
+
+    def rearm(self, profile: StackProfile, rng: random.Random) -> None:
+        """Ready a cleared stack for a new trial (scenario reuse).
+
+        The owning :class:`Host` must have been reset first (no
+        handlers); this re-registers ``_on_packet`` so handler order
+        matches a freshly constructed stack.
+        """
+        self.profile = profile
+        self.rng = rng
         self.host.register_handler(self._on_packet)
 
     # -- API ----------------------------------------------------------------

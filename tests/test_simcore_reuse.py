@@ -386,3 +386,71 @@ def test_reused_host_handler_order_matches_fresh(monkeypatch):
         for handler in reused.client._handlers
     ]
     assert names_reused == names_fresh
+
+
+def _assert_clean_shell(scenario):
+    """Nothing of a finished trial is left on a parked scenario."""
+    assert scenario._shell
+    assert not scenario.clock._queue
+    assert not scenario.trace.events
+    for tcp_host in (scenario.client_tcp, scenario.server_tcp):
+        assert not tcp_host.connections
+        assert not tcp_host.listeners
+        assert not tcp_host.drops
+        assert tcp_host.rng is None
+    for host in (scenario.client, scenario.server):
+        assert not host._handlers
+        assert not host._egress_filters
+        assert host._reassembler.pending_count() == 0
+    assert not scenario.path.elements
+    assert not scenario.gfw_devices
+    assert not scenario.gfw_packets_at_client
+    assert scenario.cluster is None
+    assert scenario.rng is None and scenario.network.rng is None
+    assert scenario.http_server is None
+    assert scenario.tor_bridge is None and scenario.vpn_server is None
+    assert scenario.udp_client is None and scenario.udp_server is None
+
+
+def test_parked_scenarios_hold_no_trial(monkeypatch):
+    """A trial's end clears its scenario: after Table-1 cells, DNS, Tor
+    and VPN trials and a small fleet, every pooled scenario is a clean
+    shell, and a later acquire of one behaves like a fresh build."""
+    from repro.experiments import scenarios
+    from repro.experiments.calibration import CLEAN_ROOM
+    from repro.experiments.fleet import FleetSpec, run_fleet
+    from repro.experiments.runner import (
+        run_dns_trial, run_strategy_cell, run_tor_trial, run_vpn_trial,
+    )
+    from repro.experiments.vantage import CHINA_VANTAGE_POINTS, vantage_by_name
+    from repro.experiments.websites import DYN_RESOLVERS, outside_china_catalog
+    from repro.strategies.registry import TABLE1_ROWS
+
+    monkeypatch.setenv("REPRO_SCENARIO_REUSE", "1")
+    scenarios.clear_scenario_pool()
+    run_fleet(FleetSpec(flows=24, seed=811, groups=1, window=8, sites=6))
+    catalog = outside_china_catalog()
+    sites = catalog[:2]
+    for _label, strategy_id, _discrepancy in TABLE1_ROWS[:3]:
+        run_strategy_cell(
+            strategy_id, CHINA_VANTAGE_POINTS[:3], sites, seed=811,
+            keyword=True, workers=1,
+        )
+    vantage = vantage_by_name("aliyun-shanghai")
+    run_dns_trial(vantage, DYN_RESOLVERS[0], calibration=CLEAN_ROOM, seed=811)
+    run_tor_trial(vantage, catalog[-1], None, seed=811)
+    run_vpn_trial(vantage, catalog[-2], "improved-tcb-teardown", seed=811)
+
+    parked = [
+        scenario
+        for free in scenarios._SCENARIO_POOL.values()
+        for scenario in free
+    ]
+    assert len(parked) == scenarios.scenario_pool_size() > 3 * len(sites)
+    assert {s._build_args["workload"] for s in parked} >= {
+        "http", "dns", "tor", "vpn",
+    }
+    for scenario in parked:
+        _assert_clean_shell(scenario)
+    scenarios.clear_scenario_pool()
+
